@@ -1,6 +1,6 @@
 //! Service-layer overhead and transport benchmarks: a closed-loop load
-//! generator driving the in-process `CmdlService`, plus socket-level
-//! comparisons of the two transports (fixed thread pool vs epoll reactor).
+//! generator driving the in-process `CmdlService`, plus socket-level rows
+//! for the epoll reactor.
 //!
 //! In-process rows (always emitted):
 //!
@@ -17,17 +17,15 @@
 //! Socket rows (skipped with a note when the sandbox denies loopback
 //! binds):
 //!
-//! 5. **Open-loop latency** per transport — `conns` keep-alive
-//!    connections, Poisson-free fixed arrival schedule at `rate` req/s,
-//!    latency measured from the *scheduled* send time (coordinated
-//!    omission corrected), reported as p50/p99 + achieved QPS.
-//! 6. **Saturation throughput** per transport — closed-loop clients with
-//!    the cache disabled, so the reactor's win has to come from
-//!    coalescing, not caching.
+//! 5. **Open-loop latency** — `conns` keep-alive connections,
+//!    Poisson-free fixed arrival schedule at `rate` req/s, latency
+//!    measured from the *scheduled* send time (coordinated omission
+//!    corrected), reported as p50/p99 + achieved QPS.
+//! 6. **Saturation throughput** — closed-loop clients with the cache
+//!    disabled, so the throughput comes from coalescing, not caching.
 //! 7. **Idle connection capacity** — how many established keep-alive
-//!    connections each transport can hold while still serving; the
-//!    reactor holds parser state per connection instead of a thread, so
-//!    CI enforces a >= 2x ratio.
+//!    connections the reactor holds while still serving (parser state per
+//!    connection instead of a thread).
 //!
 //! Emits `target/reports/server_load.json`; the CI `server-smoke` job
 //! publishes it as `BENCH_server.json` and enforces the floors.
@@ -161,10 +159,10 @@ fn main() {
             "Closed-loop mixed Q1-Q5 workload of {} queries over the bench-scale pharma \
              lake: direct snapshot.execute_many vs the in-process CmdlService JSON wire \
              (per-query envelopes and one QueryBatch envelope) vs the reactor's \
-             generation-keyed result cache, plus socket-level open-loop latency, \
-             cache-disabled saturation throughput, and idle keep-alive connection \
-             capacity for both transports (thread pool and epoll reactor). Best of \
-             {rounds} rounds for the closed-loop rows.",
+             generation-keyed result cache, plus the epoll reactor's socket-level \
+             open-loop latency, cache-disabled saturation throughput, and idle \
+             keep-alive connection capacity. Best of {rounds} rounds for the \
+             closed-loop rows.",
             queries.len(),
         ),
     );
@@ -199,8 +197,8 @@ fn main() {
     emit(&report);
 }
 
-/// Socket-level transport benchmarks (reactor vs thread pool). Linux-only
-/// because the reactor's epoll front end is.
+/// Socket-level reactor benchmarks. Linux-only because the reactor's
+/// epoll front end is.
 #[cfg(target_os = "linux")]
 mod sockets {
     use std::io::{BufRead, BufReader, Write};
@@ -212,7 +210,7 @@ mod sockets {
     use cmdl_core::DiscoveryQuery;
     use cmdl_eval::MethodResult;
     use cmdl_server::reactor::cache::CacheConfig;
-    use cmdl_server::{serve, serve_reactor, CmdlService, HttpConfig, ReactorConfig};
+    use cmdl_server::{serve_reactor, CmdlService, ReactorConfig};
 
     const OPEN_LOOP_CONNS: usize = 32;
     const OPEN_LOOP_RATE: f64 = 400.0;
@@ -231,8 +229,8 @@ mod sockets {
             .map(|q| serde_json::to_string(q).expect("query serializes"))
             .collect();
 
-        // Cache disabled on the reactor: the saturation comparison must
-        // show the coalescer's win, not the cache's.
+        // Cache disabled: the saturation row must show the coalescer's
+        // throughput, not the cache's.
         let reactor_config = ReactorConfig {
             cache: CacheConfig {
                 enabled: false,
@@ -248,29 +246,9 @@ mod sockets {
                 return;
             }
         };
-        let pool = match serve(
-            Arc::clone(service),
-            HttpConfig {
-                threads: SATURATION_CONNS,
-                queue_capacity: SATURATION_CONNS,
-                read_timeout: Duration::from_secs(10),
-                ..HttpConfig::default()
-            },
-        ) {
-            Ok(handle) => handle,
-            Err(err) => {
-                eprintln!("loopback bind denied for the pool ({err}); skipping socket rows");
-                reactor.shutdown();
-                return;
-            }
-        };
 
-        // Open-loop latency at a fixed arrival rate, per transport.
+        // Open-loop latency at a fixed arrival rate.
         let reactor_open = open_loop(reactor.addr(), OPEN_LOOP_CONNS, OPEN_LOOP_RATE, &bodies);
-        // The pool parks one thread per connection, so its open-loop run
-        // uses as many connections as it has threads — more would measure
-        // queueing on connections that can never be served concurrently.
-        let pool_open = open_loop(pool.addr(), SATURATION_CONNS, OPEN_LOOP_RATE, &bodies);
         report.push(
             MethodResult::new("Reactor open-loop")
                 .with("Conns", OPEN_LOOP_CONNS as f64)
@@ -279,46 +257,24 @@ mod sockets {
                 .with("P99_micros", reactor_open.p99 as f64)
                 .with("Qps", reactor_open.qps),
         );
-        report.push(
-            MethodResult::new("Thread-pool open-loop")
-                .with("Conns", SATURATION_CONNS as f64)
-                .with("Rate_per_sec", OPEN_LOOP_RATE)
-                .with("P50_micros", pool_open.p50 as f64)
-                .with("P99_micros", pool_open.p99 as f64)
-                .with("Qps", pool_open.qps),
-        );
 
         // Saturation throughput: closed-loop clients, cache disabled.
         let reactor_sat = saturate(reactor.addr(), SATURATION_CONNS, &bodies);
-        let pool_sat = saturate(pool.addr(), SATURATION_CONNS, &bodies);
         let coalesced = service.metrics().coalesce_queries_total() as f64;
         let batches = service.metrics().coalesce_batches_total().max(1) as f64;
         report.push(
             MethodResult::new("Reactor saturation")
                 .with("Conns", SATURATION_CONNS as f64)
                 .with("Qps", reactor_sat)
-                .with("Mean_coalesce_batch", coalesced / batches)
-                .with("Speedup_vs_threadpool", reactor_sat / pool_sat),
-        );
-        report.push(
-            MethodResult::new("Thread-pool saturation")
-                .with("Conns", SATURATION_CONNS as f64)
-                .with("Qps", pool_sat),
+                .with("Mean_coalesce_batch", coalesced / batches),
         );
 
         // Idle keep-alive capacity: the reactor holds a parser struct per
-        // connection; the pool parks a whole thread.
-        let pool_capacity = pool_idle_capacity(pool.addr(), 2 * SATURATION_CONNS + 16);
-        pool.shutdown();
+        // connection, not a thread.
         let reactor_capacity = reactor_idle_capacity(reactor.addr());
         report.push(
             MethodResult::new("Idle connection capacity")
-                .with("Reactor_conns", reactor_capacity as f64)
-                .with("Threadpool_conns", pool_capacity as f64)
-                .with(
-                    "Capacity_ratio",
-                    reactor_capacity as f64 / pool_capacity.max(1) as f64,
-                ),
+                .with("Reactor_conns", reactor_capacity as f64),
         );
         reactor.shutdown();
     }
@@ -444,32 +400,6 @@ mod sockets {
                 .unwrap();
             let mut reader = BufReader::new(stream.try_clone().expect("clone"));
             get_healthz(stream, &mut reader);
-        }
-        held.len()
-    }
-
-    /// Open keep-alive connections against the pool until one stops being
-    /// served within a short deadline: that is the pool's concurrent
-    /// keep-alive capacity (one parked worker thread per connection).
-    fn pool_idle_capacity(addr: SocketAddr, attempts: usize) -> usize {
-        let mut held = Vec::new();
-        for _ in 0..attempts {
-            let Ok(mut stream) = TcpStream::connect(addr) else {
-                break;
-            };
-            stream
-                .set_read_timeout(Some(Duration::from_millis(500)))
-                .unwrap();
-            let Ok(clone) = stream.try_clone() else { break };
-            let mut reader = BufReader::new(clone);
-            let request = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\nContent-Length: 0\r\n\r\n";
-            if stream.write_all(request).is_err() {
-                break;
-            }
-            if read_response(&mut reader).is_none() {
-                break; // not served: past the pool's capacity
-            }
-            held.push(stream);
         }
         held.len()
     }

@@ -25,17 +25,20 @@
 //! * [`backoff`] — the one retry policy: jittered exponential
 //!   [`Backoff`] with deterministic seeding, used by the replication
 //!   shipper and the bench clients.
-//! * [`http`] — a std-only HTTP/1.1 adapter (no tokio): a
-//!   `TcpListener` accept loop, a fixed worker-thread pool, and a bounded
-//!   admission queue that sheds load with `429` instead of queueing
-//!   unboundedly.
-//! * [`reactor`] — the event-driven front end: an epoll readiness loop
-//!   (vendored syscall shim, no `libc` crate) where each connection is a
-//!   resumable-parser state machine instead of a thread, concurrent
-//!   `/query` requests in one readiness tick coalesce into a single
-//!   `execute_many` against one pinned snapshot, and a generation-keyed
-//!   result cache answers repeated queries without executing at all.
-//!   Serves the identical route surface, byte-for-byte.
+//! * [`reactor`] — the HTTP/1.1 front end (std-only, no tokio): an epoll
+//!   readiness loop (vendored syscall shim, no `libc` crate) where each
+//!   connection is a resumable-parser state machine instead of a thread,
+//!   concurrent `/query` requests in one readiness tick coalesce into a
+//!   single `execute_many` against one pinned snapshot, and a
+//!   generation-keyed result cache answers repeated queries without
+//!   executing at all. Its [`RequestParser`](reactor::parser::RequestParser)
+//!   is the crate's only framing code.
+//! * [`blocking`] — the fallback front end for platforms without epoll:
+//!   one thread per connection over the same parser and route table,
+//!   byte-compared with the reactor in CI.
+//! * [`route_envelope`] — the route table both front ends share, with the
+//!   transport-level answers (`/metrics`, unknown route, unsupported
+//!   `Transfer-Encoding`) written once beside it.
 //! * [`tenants`] — the multi-tenant control plane: a [`TenantHub`]
 //!   registry of named lakes (each its own catalog, writer gate, persist
 //!   directory, metrics, and result-cache partition) behind the same HTTP
@@ -64,9 +67,10 @@
 
 pub mod api;
 pub mod backoff;
-pub mod http;
+pub mod blocking;
 pub mod metrics;
 pub mod reactor;
+mod route;
 pub mod service;
 pub mod tenants;
 
@@ -75,10 +79,11 @@ pub use api::{
     ServiceRequest, ServiceResponse,
 };
 pub use backoff::Backoff;
-pub use http::{route_envelope, serve, serve_hub, HttpConfig, HttpHandle};
+pub use blocking::{serve_blocking, BlockingHandle};
 pub use metrics::ServiceMetrics;
 pub use reactor::ReactorConfig;
 #[cfg(target_os = "linux")]
 pub use reactor::{serve_reactor, serve_reactor_hub, ReactorHandle};
+pub use route::route_envelope;
 pub use service::CmdlService;
 pub use tenants::{split_tenant, TenantDefaults, TenantHub, TenantQuotas, DEFAULT_TENANT};

@@ -288,7 +288,7 @@ impl ServiceMetrics {
         ));
         out.push_str(&format!("cmdl_snapshot_generation {generation}\n"));
         out.push_str(&format!("cmdl_delta_pressure {delta_pressure}\n"));
-        // Reactor transport series (all zero when the thread-pool adapter
+        // Reactor transport series (all zero when the blocking fallback
         // serves alone — emitting them unconditionally keeps scrapes
         // schema-stable across transports).
         out.push_str(&format!(

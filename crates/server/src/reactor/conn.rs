@@ -10,8 +10,12 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::http::MAX_RETAINED_BODY_BYTES;
 use crate::reactor::parser::RequestParser;
+use crate::route::format_response_head;
+
+/// Largest write-buffer capacity a keep-alive connection retains between
+/// responses.
+const MAX_RETAINED_BODY_BYTES: usize = 1024 * 1024;
 
 /// Response body bytes: owned (freshly serialized) or shared (cache hit).
 #[derive(Debug, Clone)]
@@ -38,8 +42,7 @@ pub enum Outgoing {
     Raw(&'static [u8]),
     /// A framed response: status line + headers are composed at write time
     /// so `Connection:` reflects the keep-alive decision of *this* moment
-    /// (a draining reactor closes sessions the same way the thread pool
-    /// does).
+    /// (a draining reactor closes every session it still answers).
     Response {
         /// HTTP status code.
         status: u16,
@@ -119,8 +122,7 @@ pub struct Conn {
     out_pos: usize,
     /// No events after this sequence number are served: set when a request
     /// forces close (`Connection: close`, unframeable encoding) so
-    /// pipelined bytes behind it are dropped exactly like the thread-pool
-    /// adapter, which stops reading after such a request.
+    /// pipelined bytes behind it are dropped, never served.
     pub stop_after: Option<u64>,
     /// Peer sent EOF; flush what is owed, then close.
     pub eof: bool,
@@ -174,8 +176,7 @@ impl Conn {
             } => {
                 let body = body.as_bytes();
                 let keep_alive = keep_alive && !force_close;
-                let head =
-                    crate::http::format_response_head(status, content_type, body.len(), keep_alive);
+                let head = format_response_head(status, content_type, body.len(), keep_alive);
                 self.out.reserve(head.len() + body.len());
                 self.out.extend_from_slice(head.as_bytes());
                 self.out.extend_from_slice(body);

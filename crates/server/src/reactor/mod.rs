@@ -4,16 +4,17 @@
 //!
 //! # Why a reactor
 //!
-//! The thread-pool adapter in [`crate::http`] dedicates a blocking worker
-//! thread to every live connection. That is simple and fast at small
-//! fan-in, but a fleet of idle keep-alive connections pins a stack each —
-//! the adapter *releases* idle connections on a read timeout precisely
-//! because it cannot afford to hold them. The reactor inverts the cost
-//! model: one loop thread owns every socket through a vendored epoll shim
-//! ([`sys`]), each connection is a small state machine ([`conn::Conn`])
-//! wrapping a resumable parser ([`parser::RequestParser`]), and ten
-//! thousand idle connections cost tens of megabytes, not ten thousand
-//! threads.
+//! A blocking front end (the [`blocking`](crate::blocking) fallback)
+//! dedicates a thread to every live connection: simple, but a fleet of
+//! idle keep-alive connections pins a stack each, and each request
+//! executes alone even when ten arrive together. The reactor inverts the
+//! cost model: one loop thread owns every socket through a vendored epoll
+//! shim ([`sys`]), each connection is a small state machine
+//! ([`conn::Conn`]) wrapping a resumable parser
+//! ([`parser::RequestParser`]), and ten thousand idle connections cost
+//! tens of megabytes, not ten thousand threads. Both front ends share the
+//! parser and the route table ([`route_envelope`](crate::route_envelope)),
+//! so they answer byte-for-byte alike.
 //!
 //! # Request flow
 //!
@@ -24,8 +25,8 @@
 //!    (responses must leave in request order even when they complete out
 //!    of order — [`conn::ResponseQueue`]).
 //! 2. `GET /metrics`, unroutable paths, and unframeable requests are
-//!    answered inline on the loop thread (identically to the thread-pool
-//!    adapter, including metrics recording).
+//!    answered inline on the loop thread by the shared router (metrics
+//!    recording included).
 //! 3. Single `POST /query` requests resolve their tenant (the
 //!    `/t/<name>/` path prefix; un-prefixed paths are the default tenant),
 //!    reserve an in-flight admission slot, then probe that tenant's
@@ -109,8 +110,8 @@ pub use serve::{serve_reactor, serve_reactor_hub, ReactorHandle};
 mod serve {
     use std::cmp::Reverse;
     use std::collections::{BinaryHeap, HashMap};
-    use std::io::{Read, Write};
-    use std::net::{SocketAddr, TcpListener, TcpStream};
+    use std::io::Read;
+    use std::net::{SocketAddr, TcpListener};
     use std::os::fd::AsRawFd;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{mpsc, Arc, Mutex};
@@ -121,7 +122,6 @@ mod serve {
 
     use super::ReactorConfig;
     use crate::api::{http_status, ServiceError, ServiceRequest, ServiceResponse};
-    use crate::http::{format_response_head, route_envelope};
     use crate::metrics::ServiceMetrics;
     use crate::reactor::cache::{CacheOutcome, ResultCache};
     use crate::reactor::conn::{Body, Conn, ConnPhase, Outgoing};
@@ -129,8 +129,9 @@ mod serve {
     use crate::reactor::sys::{
         Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
     };
+    use crate::route::{handle, query_envelope, route, shed, Answer, Routed, CONTINUE_100};
     use crate::service::{serialize_response, CmdlService};
-    use crate::tenants::{split_tenant, InflightPermit, Tenant, TenantHub, DEFAULT_TENANT};
+    use crate::tenants::{InflightPermit, Tenant, TenantHub, DEFAULT_TENANT};
 
     const TOKEN_LISTENER: u64 = u64::MAX;
     const TOKEN_WAKE: u64 = u64::MAX - 1;
@@ -171,8 +172,8 @@ mod serve {
 
     /// Work shipped to the executor pool.
     enum Job {
-        /// One non-`/query` request: splice + the hub's `handle_json`
-        /// (admission control included), exactly the thread-pool path.
+        /// One non-`/query` request: the spliced envelope through the hub's
+        /// `handle_json` (admission control included).
         Single {
             tenant: String,
             token: u64,
@@ -436,15 +437,12 @@ mod serve {
                 envelope,
                 keep_alive,
             } => {
-                // The hub applies admission control, quota checks, and both
-                // the tenant-labeled and global metric recordings.
-                let response = hub.handle_json(&tenant, envelope.as_bytes());
-                let status = response.error_code().map(http_status).unwrap_or(200);
+                let Answer { status, body, .. } = handle(hub, &tenant, &envelope);
                 vec![Completion {
                     token,
                     seq,
                     status,
-                    body: Body::Owned(serialize_response(&response)),
+                    body: Body::Owned(body),
                     keep_alive,
                 }]
             }
@@ -454,14 +452,14 @@ mod serve {
                 items,
             } => {
                 let service = tenant.service();
-                // Splice each body into the same `{"Query": …}` envelope the
-                // thread-pool adapter builds, so a body that fails to parse
-                // falls back to `handle_json` and yields the byte-identical
-                // `MalformedRequest` envelope (and identical metrics).
+                // Splice each body into the router's `{"Query": …}` envelope,
+                // so a body that fails to parse falls back to `handle_json`
+                // and yields the byte-identical `MalformedRequest` envelope
+                // (and identical metrics).
                 let mut queries: Vec<DiscoveryQuery> = Vec::with_capacity(items.len());
                 let mut plan: Vec<Result<usize, String>> = Vec::with_capacity(items.len());
                 for item in &items {
-                    let envelope = format!("{{\"Query\":{}}}", String::from_utf8_lossy(&item.body));
+                    let envelope = query_envelope(&String::from_utf8_lossy(&item.body));
                     match serde_json::from_str::<ServiceRequest>(&envelope) {
                         Ok(ServiceRequest::Query(query)) => {
                             plan.push(Ok(queries.len()));
@@ -639,7 +637,7 @@ mod serve {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
                         if self.draining.is_some() || self.open >= self.config.max_connections {
-                            self.shed(stream);
+                            shed(&self.hub, stream);
                             continue;
                         }
                         let _ = stream.set_nodelay(true);
@@ -672,26 +670,6 @@ mod serve {
                     Err(_) => break,
                 }
             }
-        }
-
-        /// Answer `429 Overloaded` to a connection over the cap, best
-        /// effort (the envelope fits the socket send buffer), and close.
-        fn shed(&self, stream: TcpStream) {
-            self.hub
-                .metrics()
-                .record_transport("shed", Some(ErrorCode::Overloaded));
-            let response = ServiceResponse::failure(ServiceError::with_subject(
-                ErrorCode::Overloaded,
-                "connection limit reached",
-            ));
-            let body = serialize_response(&response);
-            let head = format_response_head(429, "application/json", body.len(), false);
-            let mut stream = stream;
-            let _ = stream.set_nonblocking(true);
-            let _ = stream
-                .write_all(head.as_bytes())
-                .and_then(|()| stream.write_all(&body));
-            let _ = stream.shutdown(std::net::Shutdown::Write);
         }
 
         fn conn_ready(&mut self, token: u64, readiness: u32, now: Instant, scratch: &mut [u8]) {
@@ -734,9 +712,7 @@ mod serve {
                             }
                             if conn.parser.feed(&scratch[..n]).is_err() {
                                 // Framing violation: the stream position is
-                                // undefined, so close without a response —
-                                // the same observable behavior as the
-                                // thread-pool adapter.
+                                // undefined, so close without a response.
                                 failed = true;
                                 break;
                             }
@@ -765,8 +741,7 @@ mod serve {
                 let seq = conn.queue.assign();
                 match event {
                     ParseEvent::Continue100 => {
-                        conn.queue
-                            .complete(seq, Outgoing::Raw(b"HTTP/1.1 100 Continue\r\n\r\n"));
+                        conn.queue.complete(seq, Outgoing::Raw(CONTINUE_100));
                         self.dirty.push(token);
                     }
                     ParseEvent::Request(request) => {
@@ -793,191 +768,147 @@ mod serve {
             self.arm_deadline(idx, now);
         }
 
-        /// Route one parsed request: inline for transport-level answers and
-        /// cache hits, executor job otherwise. The tenant prefix is split
-        /// off the path first; un-prefixed paths address the default
-        /// tenant, exactly as in the thread-pool adapter.
+        /// Route one parsed request through the shared router: answers
+        /// inline for transport-level outcomes, an executor job for spliced
+        /// envelopes, and the admission → cache probe → per-tick coalescing
+        /// path for `/query`.
         fn dispatch(&mut self, idx: usize, token: u64, seq: u64, request: ParsedRequest) {
             let hub = Arc::clone(&self.hub);
-            if request.unsupported_encoding {
-                let response = ServiceResponse::failure(ServiceError::with_subject(
-                    ErrorCode::MalformedRequest,
-                    "transfer-encoding is not supported; frame bodies with content-length",
-                ));
-                hub.metrics()
-                    .record_transport("malformed", Some(ErrorCode::MalformedRequest));
-                self.complete_local(
-                    idx,
-                    token,
-                    seq,
-                    Outgoing::Response {
-                        status: 400,
-                        content_type: "application/json",
-                        body: Body::Owned(serialize_response(&response)),
-                        keep_alive: false,
-                    },
-                );
-                return;
-            }
-            let (tenant_name, path) = split_tenant(&request.path);
-            if (request.method.as_str(), path) == ("GET", "/metrics") {
-                // Render before recording, like the thread-pool adapter: the
-                // scrape does not count itself. The exposition is hub-wide
-                // (global totals + every tenant's labeled series) whichever
-                // prefix it was scraped through.
-                let out = hub.render_metrics();
-                hub.metrics().record_transport("metrics", None);
-                self.complete_local(
-                    idx,
-                    token,
-                    seq,
-                    Outgoing::Response {
-                        status: 200,
-                        content_type: "text/plain; version=0.0.4",
-                        body: Body::Owned(out.into_bytes()),
-                        keep_alive: request.keep_alive,
-                    },
-                );
-                return;
-            }
-            if (request.method.as_str(), path) == ("POST", "/query") {
-                let Some(tenant) = hub.tenant(tenant_name) else {
-                    let response = ServiceResponse::failure(ServiceError::with_subject(
-                        ErrorCode::UnknownTenant,
-                        tenant_name,
-                    ));
-                    hub.metrics()
-                        .record_transport("query", Some(ErrorCode::UnknownTenant));
+            let tenant_name = match route(&hub, &request) {
+                Routed::Answer(Answer {
+                    status,
+                    content_type,
+                    body,
+                }) => {
                     self.complete_local(
                         idx,
                         token,
                         seq,
                         Outgoing::Response {
-                            status: http_status(ErrorCode::UnknownTenant),
+                            status,
+                            content_type,
+                            body: Body::Owned(body),
+                            keep_alive: request.keep_alive,
+                        },
+                    );
+                    return;
+                }
+                Routed::Envelope { tenant, envelope } => {
+                    let _ = self.jobs.send(Job::Single {
+                        tenant: tenant.to_string(),
+                        token,
+                        seq,
+                        envelope,
+                        keep_alive: request.keep_alive,
+                    });
+                    return;
+                }
+                Routed::Query { tenant } => tenant,
+            };
+            let Some(tenant) = hub.tenant(tenant_name) else {
+                let response = ServiceResponse::failure(ServiceError::with_subject(
+                    ErrorCode::UnknownTenant,
+                    tenant_name,
+                ));
+                hub.metrics()
+                    .record_transport("query", Some(ErrorCode::UnknownTenant));
+                self.complete_local(
+                    idx,
+                    token,
+                    seq,
+                    Outgoing::Response {
+                        status: http_status(ErrorCode::UnknownTenant),
+                        content_type: "application/json",
+                        body: Body::Owned(serialize_response(&response)),
+                        keep_alive: request.keep_alive,
+                    },
+                );
+                return;
+            };
+            // Admission happens before the cache probe: a tenant at its
+            // concurrency cap is shed with the typed 429 even for work
+            // the cache could answer, keeping `max_inflight` an honest
+            // bound on the tenant's share of the server.
+            let permit = match tenant.admit() {
+                Ok(permit) => permit,
+                Err(error) => {
+                    tenant
+                        .service()
+                        .metrics()
+                        .record_transport("query", Some(error.code));
+                    if !Arc::ptr_eq(hub.metrics(), tenant.service().metrics_arc()) {
+                        hub.metrics().record_transport("query", Some(error.code));
+                    }
+                    let status = http_status(error.code);
+                    let response = ServiceResponse::failure(error);
+                    self.complete_local(
+                        idx,
+                        token,
+                        seq,
+                        Outgoing::Response {
+                            status,
                             content_type: "application/json",
                             body: Body::Owned(serialize_response(&response)),
                             keep_alive: request.keep_alive,
                         },
                     );
                     return;
-                };
-                // Admission happens before the cache probe: a tenant at its
-                // concurrency cap is shed with the typed 429 even for work
-                // the cache could answer, keeping `max_inflight` an honest
-                // bound on the tenant's share of the server.
-                let permit = match tenant.admit() {
-                    Ok(permit) => permit,
-                    Err(error) => {
-                        tenant
-                            .service()
-                            .metrics()
-                            .record_transport("query", Some(error.code));
-                        if !Arc::ptr_eq(hub.metrics(), tenant.service().metrics_arc()) {
-                            hub.metrics().record_transport("query", Some(error.code));
-                        }
-                        let status = http_status(error.code);
-                        let response = ServiceResponse::failure(error);
-                        self.complete_local(
-                            idx,
-                            token,
-                            seq,
-                            Outgoing::Response {
-                                status,
-                                content_type: "application/json",
-                                body: Body::Owned(serialize_response(&response)),
-                                keep_alive: request.keep_alive,
-                            },
-                        );
-                        return;
-                    }
-                };
-                let cache = self.cache_for(&tenant);
-                let generation = tenant.service().published_generation();
-                let distinct = !Arc::ptr_eq(hub.metrics(), tenant.service().metrics_arc());
-                match cache.lookup(generation, &request.body) {
-                    CacheOutcome::Hit(cached) => {
-                        let metrics = tenant.service().metrics();
-                        metrics.record_cache_hit();
-                        // A hit is still a served query: keep the request
-                        // counters truthful (sub-microsecond latency).
-                        metrics.record("query", 1, cached.error);
-                        if distinct {
-                            hub.metrics().record_cache_hit();
-                            hub.metrics().record("query", 1, cached.error);
-                        }
-                        self.complete_local(
-                            idx,
-                            token,
-                            seq,
-                            Outgoing::Response {
-                                status: cached.status,
-                                content_type: "application/json",
-                                body: Body::Shared(Arc::clone(&cached.body)),
-                                keep_alive: request.keep_alive,
-                            },
-                        );
-                        // The permit drops here: a cache hit occupies its
-                        // admission slot only for the probe.
-                    }
-                    CacheOutcome::Miss { invalidated } => {
-                        let metrics = tenant.service().metrics();
-                        metrics.record_cache_miss();
-                        if invalidated > 0 {
-                            metrics.record_cache_invalidated(invalidated);
-                        }
-                        if distinct {
-                            hub.metrics().record_cache_miss();
-                            if invalidated > 0 {
-                                hub.metrics().record_cache_invalidated(invalidated);
-                            }
-                        }
-                        let group = self
-                            .tick_queries
-                            .entry(tenant.name().to_string())
-                            .or_insert_with(|| TickGroup {
-                                tenant: Arc::clone(&tenant),
-                                cache,
-                                items: Vec::new(),
-                            });
-                        group.items.push(QueryItem {
-                            token,
-                            seq,
-                            body: request.body,
-                            keep_alive: request.keep_alive,
-                            permit: Some(permit),
-                        });
-                    }
                 }
-                return;
-            }
-            let body = String::from_utf8_lossy(&request.body);
-            match route_envelope(&request.method, path, &body) {
-                None => {
-                    let response = ServiceResponse::failure(ServiceError::with_subject(
-                        ErrorCode::UnknownRoute,
-                        format!("{} {}", request.method, request.path),
-                    ));
-                    hub.metrics()
-                        .record_transport("unknown_route", Some(ErrorCode::UnknownRoute));
+            };
+            let cache = self.cache_for(&tenant);
+            let generation = tenant.service().published_generation();
+            let distinct = !Arc::ptr_eq(hub.metrics(), tenant.service().metrics_arc());
+            match cache.lookup(generation, &request.body) {
+                CacheOutcome::Hit(cached) => {
+                    let metrics = tenant.service().metrics();
+                    metrics.record_cache_hit();
+                    // A hit is still a served query: keep the request
+                    // counters truthful (sub-microsecond latency).
+                    metrics.record("query", 1, cached.error);
+                    if distinct {
+                        hub.metrics().record_cache_hit();
+                        hub.metrics().record("query", 1, cached.error);
+                    }
                     self.complete_local(
                         idx,
                         token,
                         seq,
                         Outgoing::Response {
-                            status: http_status(ErrorCode::UnknownRoute),
+                            status: cached.status,
                             content_type: "application/json",
-                            body: Body::Owned(serialize_response(&response)),
+                            body: Body::Shared(Arc::clone(&cached.body)),
                             keep_alive: request.keep_alive,
                         },
                     );
+                    // The permit drops here: a cache hit occupies its
+                    // admission slot only for the probe.
                 }
-                Some(envelope) => {
-                    let _ = self.jobs.send(Job::Single {
-                        tenant: tenant_name.to_string(),
+                CacheOutcome::Miss { invalidated } => {
+                    let metrics = tenant.service().metrics();
+                    metrics.record_cache_miss();
+                    if invalidated > 0 {
+                        metrics.record_cache_invalidated(invalidated);
+                    }
+                    if distinct {
+                        hub.metrics().record_cache_miss();
+                        if invalidated > 0 {
+                            hub.metrics().record_cache_invalidated(invalidated);
+                        }
+                    }
+                    let group = self
+                        .tick_queries
+                        .entry(tenant.name().to_string())
+                        .or_insert_with(|| TickGroup {
+                            tenant: Arc::clone(&tenant),
+                            cache,
+                            items: Vec::new(),
+                        });
+                    group.items.push(QueryItem {
                         token,
                         seq,
-                        envelope,
+                        body: request.body,
                         keep_alive: request.keep_alive,
+                        permit: Some(permit),
                     });
                 }
             }

@@ -1,30 +1,36 @@
-//! A resumable HTTP/1.1 request parser.
+//! A resumable HTTP/1.1 request parser — the only framing code in the
+//! crate, shared by the reactor and the blocking fallback.
 //!
-//! The thread-pool adapter parses with blocking reads
-//! ([`read_request`](crate::http::read_request)): a worker thread sits in
-//! `read_line` until bytes arrive, so the parse state lives on its stack.
-//! The reactor cannot afford a stack per connection — [`RequestParser`] is
-//! the same framing logic (bounded start/header lines, header count cap,
-//! `Content-Length` bodies with a 64 MiB cap, `Expect: 100-continue`,
-//! `Transfer-Encoding` rejection, keep-alive defaulting by HTTP version)
-//! restructured as a push parser: feed whatever bytes the socket had,
-//! collect zero or more completed requests, and the in-between state is a
-//! few integers plus the buffered partial line. Ten thousand idle
-//! connections therefore cost ten thousand small structs, not ten thousand
-//! stacks.
+//! [`RequestParser`] enforces bounded start/header lines, a header count
+//! cap, `Content-Length` bodies with a 64 MiB cap (duplicates must agree,
+//! values are bare digits), `Expect: 100-continue`, `Transfer-Encoding`
+//! rejection, and keep-alive defaulting by HTTP version, as a push parser:
+//! feed whatever bytes the socket had, collect zero or more completed
+//! requests, and the in-between state is a few integers plus the buffered
+//! partial line. Ten thousand idle connections therefore cost ten
+//! thousand small structs, not ten thousand stacks.
 //!
 //! Byte-split invariance — feeding a request stream one byte at a time
-//! parses identically to feeding it whole, and identically to the
-//! one-shot parser — is enforced by the proptest suite in
+//! parses identically to feeding it whole, and identically to a one-shot
+//! blocking reference parser — is enforced by the proptest suite in
 //! `tests/parser_fuzz.rs`.
 
 use std::collections::VecDeque;
 
-use crate::http::{MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES};
+/// The largest accepted start line / header line. Framing reads are
+/// bounded so a peer streaming bytes without newlines cannot grow memory
+/// past this (the body has its own cap, enforced against
+/// `Content-Length`).
+pub const MAX_LINE_BYTES: u64 = 8 * 1024;
+
+/// Maximum headers per request.
+pub const MAX_HEADERS: usize = 100;
+
+/// Cap on `Content-Length` bodies — far beyond any legitimate ingest
+/// payload.
+pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// One fully framed request, plus the flags the serving loop needs.
-/// Field-for-field the reactor's analogue of the thread-pool adapter's
-/// internal request struct.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedRequest {
     /// Request method (`GET`, `POST`, …), as sent.
@@ -73,17 +79,15 @@ fn err(reason: &'static str) -> ParseError {
 enum State {
     /// Waiting for the request line.
     StartLine,
-    /// Reading header lines. `lines_read` mirrors the one-shot parser's
-    /// loop counter: the bound trips when more than [`MAX_HEADERS`] + 1
-    /// lines (headers plus the blank terminator) have been consumed.
+    /// Reading header lines. The bound trips when more than
+    /// [`MAX_HEADERS`] + 1 lines (headers plus the blank terminator) have
+    /// been consumed.
     Headers { lines_read: usize },
     /// Accumulating `remaining` body bytes.
     Body { remaining: usize },
     /// A close-forcing request (`Connection: close`, unsupported encoding)
     /// was emitted: this connection serves nothing further, so all later
-    /// bytes are discarded unparsed — the one-shot adapter never reads
-    /// them at all, and attempting to parse pipelined bytes behind a
-    /// close would diverge from it.
+    /// bytes are discarded unparsed.
     Stopped,
     /// A fatal framing error was reported; every further feed re-reports it.
     Failed(ParseError),
@@ -101,7 +105,8 @@ pub struct RequestParser {
     method: String,
     path: String,
     keep_alive: bool,
-    content_length: usize,
+    /// The first `Content-Length` seen; a later one must agree.
+    content_length: Option<usize>,
     expect_continue: bool,
     unsupported_encoding: bool,
     body: Vec<u8>,
@@ -124,7 +129,7 @@ impl RequestParser {
             method: String::new(),
             path: String::new(),
             keep_alive: true,
-            content_length: 0,
+            content_length: None,
             expect_continue: false,
             unsupported_encoding: false,
             body: Vec::new(),
@@ -181,9 +186,9 @@ impl RequestParser {
                     let Some(line) = self.take_line()? else {
                         break;
                     };
-                    // A blank line between requests is not tolerated by the
-                    // one-shot parser either: split_whitespace on "" yields
-                    // no method, which is a malformed start line.
+                    // A blank line between requests is not tolerated:
+                    // split_whitespace on "" yields no method, which is a
+                    // malformed start line.
                     let mut parts = line.split_whitespace();
                     self.method = parts.next().unwrap_or_default().to_string();
                     self.path = parts.next().unwrap_or_default().to_string();
@@ -193,7 +198,7 @@ impl RequestParser {
                     }
                     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
                     self.keep_alive = version != "HTTP/1.0";
-                    self.content_length = 0;
+                    self.content_length = None;
                     self.expect_continue = false;
                     self.unsupported_encoding = false;
                     self.state = State::Headers { lines_read: 0 };
@@ -216,8 +221,13 @@ impl RequestParser {
                     if let Some((name, value)) = header.split_once(':') {
                         let value = value.trim();
                         if name.eq_ignore_ascii_case("content-length") {
-                            self.content_length =
-                                value.parse().map_err(|_| err("bad content-length"))?;
+                            let length = parse_content_length(value)?;
+                            // A differing duplicate is request smuggling: a
+                            // proxy honouring the other value would desync.
+                            if self.content_length.is_some_and(|seen| seen != length) {
+                                return Err(err("conflicting content-length"));
+                            }
+                            self.content_length = Some(length);
                         } else if name.eq_ignore_ascii_case("connection") {
                             self.keep_alive = !value.eq_ignore_ascii_case("close");
                         } else if name.eq_ignore_ascii_case("expect") {
@@ -260,25 +270,24 @@ impl RequestParser {
     fn finish_headers(&mut self) -> Result<(), ParseError> {
         if self.unsupported_encoding {
             // Do not attempt to read the chunked payload: the request is
-            // emitted body-less with keep_alive forced off, exactly like
-            // the one-shot parser, so the 400 goes out before the unread
-            // bytes can be misparsed as the next request.
+            // emitted body-less with keep_alive forced off, so the 400 goes
+            // out before the unread bytes can be misparsed as the next
+            // request.
             self.keep_alive = false;
             self.emit_request();
             return Ok(());
         }
-        if self.content_length > MAX_BODY_BYTES {
+        let length = self.content_length.unwrap_or(0);
+        if length > MAX_BODY_BYTES {
             return Err(err("body too large"));
         }
-        if self.expect_continue && self.content_length > 0 {
+        if self.expect_continue && length > 0 {
             self.events.push_back(ParseEvent::Continue100);
         }
-        if self.content_length == 0 {
+        if length == 0 {
             self.emit_request();
         } else {
-            self.state = State::Body {
-                remaining: self.content_length,
-            };
+            self.state = State::Body { remaining: length };
         }
         Ok(())
     }
@@ -335,6 +344,14 @@ impl RequestParser {
             self.pos = 0;
         }
     }
+}
+
+/// `Content-Length = 1*DIGIT`: no sign, no whitespace, no list.
+fn parse_content_length(value: &str) -> Result<usize, ParseError> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(err("bad content-length"));
+    }
+    value.parse().map_err(|_| err("bad content-length"))
 }
 
 #[cfg(test)]
@@ -459,10 +476,49 @@ mod tests {
     }
 
     #[test]
-    fn header_count_cap_matches_the_one_shot_loop() {
+    fn equal_duplicate_content_lengths_are_accepted() {
+        let mut parser = RequestParser::new();
+        let events = feed_all(
+            &mut parser,
+            b"POST /q HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nok",
+        );
+        let ParseEvent::Request(req) = &events[0] else {
+            panic!("expected a request");
+        };
+        assert_eq!(req.body, b"ok");
+    }
+
+    #[test]
+    fn differing_duplicate_content_lengths_are_rejected() {
+        // Either order: neither the first nor the last value may win.
+        for stream in [
+            &b"POST /q HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 2\r\n\r\nok"[..],
+            &b"POST /q HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 0\r\n\r\nok"[..],
+        ] {
+            let mut parser = RequestParser::new();
+            assert_eq!(parser.feed(stream), Err(err("conflicting content-length")));
+            assert!(parser.next_event().is_none(), "nothing is emitted");
+        }
+    }
+
+    #[test]
+    fn content_length_must_be_bare_digits() {
+        for value in ["+5", "-0", " ", "5 5", "5,5", "0x5", "\u{0665}"] {
+            let mut parser = RequestParser::new();
+            let stream = format!("POST /q HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            assert_eq!(
+                parser.feed(stream.as_bytes()),
+                Err(err("bad content-length")),
+                "{value:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn header_count_cap_is_inclusive() {
         // MAX_HEADERS header lines plus the blank terminator parse; one
         // more header line trips the bound before the terminator is ever
-        // read — the same line count at which the one-shot loop errors.
+        // read.
         let mut ok = String::from("GET / HTTP/1.1\r\n");
         for i in 0..MAX_HEADERS {
             ok.push_str(&format!("X-H{i}: v\r\n"));
@@ -482,9 +538,9 @@ mod tests {
 
     #[test]
     fn bytes_after_a_close_forcing_request_are_discarded() {
-        // The one-shot adapter never reads past a `Connection: close`
-        // request; the resumable parser matches by discarding instead of
-        // parsing (pipelined garbage behind a close must not error).
+        // Nothing past a `Connection: close` request is served, so it is
+        // discarded instead of parsed (pipelined garbage behind a close
+        // must not error).
         let mut parser = RequestParser::new();
         let events = feed_all(
             &mut parser,

@@ -36,8 +36,8 @@
 //!
 //! The wire contract is bytes-in/bytes-out JSON
 //! ([`handle_json_bytes`](CmdlService::handle_json_bytes)), so every
-//! handler is testable in-process without sockets and the HTTP adapter in
-//! [`crate::http`] is nothing but framing.
+//! handler is testable in-process without sockets and the HTTP front ends
+//! ([`crate::reactor`], [`crate::blocking`]) are nothing but framing.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

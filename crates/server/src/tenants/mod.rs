@@ -192,8 +192,8 @@ pub struct TenantHub {
 
 impl TenantHub {
     /// Wrap one existing service as the [`DEFAULT_TENANT`] — the
-    /// single-tenant compatibility mode both `serve(service, ..)` entry
-    /// points use. The hub's global counters alias the service's own, so
+    /// single-tenant compatibility mode `serve_reactor(service, ..)`
+    /// uses. The hub's global counters alias the service's own, so
     /// the exposition is unchanged from a pre-hub server (plus the
     /// `tenant="default"` labeled series).
     pub fn single(service: Arc<CmdlService>) -> Arc<Self> {

@@ -1,6 +1,7 @@
-//! Parser parity: the reactor's resumable push parser must frame requests
-//! identically to the one-shot blocking parser (`http::read_request`),
-//! which is the reference semantics for the route surface.
+//! Parser parity: the resumable push parser — the library's only framing
+//! code — must frame requests identically to the one-shot blocking
+//! reference parser below ([`read_request`]), which states the framing
+//! semantics as straight-line blocking reads.
 //!
 //! Three properties, each over randomized request streams:
 //!
@@ -19,12 +20,113 @@
 //!    Framing-violation verdicts may differ only when the violating line
 //!    itself is EOF-truncated.
 
-use std::io::{BufReader, Cursor, ErrorKind};
+use std::io::{BufRead, BufReader, Cursor, Error, ErrorKind, Read, Write};
 
 use proptest::prelude::*;
 
-use cmdl_server::http::read_request;
-use cmdl_server::reactor::parser::{ParseEvent, ParsedRequest, RequestParser};
+use cmdl_server::reactor::parser::{
+    ParseEvent, ParsedRequest, RequestParser, MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES,
+};
+
+/// `read_line` bounded to [`MAX_LINE_BYTES`]: a line that hits the cap
+/// without a newline is an error, not an ever-growing buffer.
+fn read_line_bounded<R: BufRead>(reader: &mut R, line: &mut String) -> std::io::Result<usize> {
+    let read = reader.take(MAX_LINE_BYTES).read_line(line)?;
+    if read as u64 >= MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(Error::new(ErrorKind::InvalidData, "line too long"));
+    }
+    Ok(read)
+}
+
+/// The reference: read one request (start line, headers,
+/// `Content-Length` body) with blocking reads. `Ok(None)` is a clean EOF
+/// before a start line; `writer` receives the `100 Continue` interim
+/// response when `Expect: 100-continue` precedes a non-empty body.
+fn read_request<R: BufRead, W: Write>(
+    reader: &mut R,
+    writer: &mut W,
+) -> std::io::Result<Option<ParsedRequest>> {
+    let invalid = |what: &str| Error::new(ErrorKind::InvalidData, what.to_string());
+    let mut line = String::new();
+    if read_line_bounded(reader, &mut line)? == 0 {
+        return Ok(None);
+    }
+    let mut parts = line.split_whitespace();
+    let method = parts.next().unwrap_or_default().to_string();
+    let path = parts.next().unwrap_or_default().to_string();
+    let version = parts.next().unwrap_or("HTTP/1.1").to_string();
+    if method.is_empty() || path.is_empty() {
+        return Err(invalid("malformed start line"));
+    }
+
+    let mut content_length: Option<usize> = None;
+    // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
+    let mut keep_alive = version != "HTTP/1.0";
+    let mut expect_continue = false;
+    let mut unsupported_encoding = false;
+    for header_count in 0.. {
+        if header_count > MAX_HEADERS {
+            return Err(invalid("too many headers"));
+        }
+        let mut header = String::new();
+        if read_line_bounded(reader, &mut header)? == 0 {
+            return Err(Error::new(ErrorKind::UnexpectedEof, "EOF inside headers"));
+        }
+        let header = header.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = header.split_once(':') {
+            let value = value.trim();
+            if name.eq_ignore_ascii_case("content-length") {
+                // 1*DIGIT only, and every repetition must agree.
+                if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                    return Err(invalid("bad content-length"));
+                }
+                let length: usize = value.parse().map_err(|_| invalid("bad content-length"))?;
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err(invalid("conflicting content-length"));
+                }
+                content_length = Some(length);
+            } else if name.eq_ignore_ascii_case("connection") {
+                keep_alive = !value.eq_ignore_ascii_case("close");
+            } else if name.eq_ignore_ascii_case("expect") {
+                expect_continue = value.eq_ignore_ascii_case("100-continue");
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                unsupported_encoding = true;
+            }
+        }
+    }
+    if unsupported_encoding {
+        // The chunked payload is never read: the request is body-less and
+        // closes the connection.
+        return Ok(Some(ParsedRequest {
+            method,
+            path,
+            body: Vec::new(),
+            keep_alive: false,
+            unsupported_encoding: true,
+        }));
+    }
+
+    let content_length = content_length.unwrap_or(0);
+    if content_length > MAX_BODY_BYTES {
+        return Err(invalid("body too large"));
+    }
+    if expect_continue && content_length > 0 {
+        writer.write_all(b"HTTP/1.1 100 Continue\r\n\r\n")?;
+        writer.flush()?;
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body)?;
+    Ok(Some(ParsedRequest {
+        method,
+        path,
+        body,
+        keep_alive,
+        unsupported_encoding: false,
+    }))
+}
 
 /// How a parser run over a finite byte stream ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +149,8 @@ struct Outcome {
     term: Term,
 }
 
-/// Drive the one-shot parser the way `serve_connection` does: loop until
-/// EOF, error, or a close-forcing request.
+/// Drive the one-shot parser the way a blocking serving loop does: loop
+/// until EOF, error, or a close-forcing request.
 fn run_one_shot(bytes: &[u8]) -> Outcome {
     let mut reader = BufReader::new(Cursor::new(bytes.to_vec()));
     let mut sink: Vec<u8> = Vec::new();
@@ -145,7 +247,31 @@ fn run_resumable(bytes: &[u8], chunk_sizes: &[usize]) -> Outcome {
     }
 }
 
-/// Build one well-formed request from generated components.
+/// How a generated request states its `Content-Length`.
+#[derive(Debug, Clone, Copy)]
+enum Length {
+    /// One header: the well-formed case.
+    Single,
+    /// The header twice with the same value (accepted).
+    EqualDuplicate,
+    /// A second header with a different value (a framing violation).
+    DifferingDuplicate,
+    /// A `+N` value (a framing violation).
+    Signed,
+}
+
+/// Weighted towards well-formed framing so pipelines stay long.
+fn length_mode(pick: usize) -> Length {
+    match pick {
+        0..=2 => Length::Single,
+        3 => Length::EqualDuplicate,
+        4 => Length::DifferingDuplicate,
+        _ => Length::Signed,
+    }
+}
+
+/// Build one request from generated components: well-formed unless
+/// `length` asks for a malformed `Content-Length`.
 #[allow(clippy::too_many_arguments)]
 fn build_request(
     method: &str,
@@ -156,16 +282,25 @@ fn build_request(
     expect: bool,
     chunked: bool,
     extra_headers: usize,
+    length: Length,
 ) -> Vec<u8> {
     let version = if http10 { "HTTP/1.0" } else { "HTTP/1.1" };
     let mut head = format!("{method} /{path} {version}\r\n");
     for i in 0..extra_headers {
         head.push_str(&format!("X-Fuzz-{i}: value-{i}\r\n"));
     }
+    let n = body.len();
     if chunked {
         head.push_str("Transfer-Encoding: chunked\r\n");
     } else {
-        head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+        head.push_str(&match length {
+            Length::Single => format!("Content-Length: {n}\r\n"),
+            Length::EqualDuplicate => format!("Content-Length: {n}\r\ncontent-length: {n}\r\n"),
+            Length::DifferingDuplicate => {
+                format!("Content-Length: {n}\r\nContent-Length: {}\r\n", n + 1)
+            }
+            Length::Signed => format!("Content-Length: +{n}\r\n"),
+        });
     }
     if close {
         head.push_str("Connection: close\r\n");
@@ -257,6 +392,7 @@ proptest! {
         paths in prop::collection::vec("[a-z/]{1,12}", 1..5),
         bodies in prop::collection::vec("[ -~]{0,64}", 1..5),
         flags in prop::collection::vec(0usize..32, 1..5),
+        lengths in prop::collection::vec(0usize..6, 1..5),
         nreq in 1usize..5,
         chunk_sizes in prop::collection::vec(1usize..9, 1..8),
     ) {
@@ -273,6 +409,7 @@ proptest! {
                 flag & 4 != 0,
                 flag & 8 != 0,
                 flag >> 4,
+                length_mode(lengths[i % lengths.len()]),
             ));
         }
         assert_parity(&stream, &chunk_sizes, true)?;
@@ -288,6 +425,7 @@ proptest! {
         paths in prop::collection::vec("[a-z/]{1,10}", 1..4),
         bodies in prop::collection::vec("[ -~]{0,48}", 1..4),
         flags in prop::collection::vec(0usize..16, 1..4),
+        lengths in prop::collection::vec(0usize..6, 1..4),
         nreq in 1usize..4,
         cut in 0usize..10_000,
         chunk_sizes in prop::collection::vec(1usize..7, 1..6),
@@ -304,6 +442,7 @@ proptest! {
                 flag & 4 != 0,
                 flag & 8 != 0,
                 0,
+                length_mode(lengths[i % lengths.len()]),
             ));
         }
         let cut = cut % (stream.len() + 1);
@@ -333,6 +472,7 @@ proptest! {
                     false,
                     false,
                     0,
+                    Length::Single,
                 ));
             }
         }
@@ -352,16 +492,21 @@ fn framing_bounds_match_one_shot() {
     long_line.extend_from_slice(b" HTTP/1.1\r\n\r\n");
     let bad_length = b"POST /q HTTP/1.1\r\nContent-Length: twelve\r\n\r\n".to_vec();
     let mut too_many_headers = b"GET /h HTTP/1.1\r\n".to_vec();
-    for i in 0..cmdl_server::http::MAX_HEADERS + 1 {
+    for i in 0..MAX_HEADERS + 1 {
         too_many_headers.extend_from_slice(format!("X-{i}: v\r\n").as_bytes());
     }
     let not_utf8 = b"GET /\xff\xfe HTTP/1.1\r\n\r\n".to_vec();
+    let differing_lengths =
+        b"POST /q HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello".to_vec();
+    let signed_length = b"POST /q HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello".to_vec();
     for stream in [
         oversized_body,
         long_line,
         bad_length,
         too_many_headers,
         not_utf8,
+        differing_lengths,
+        signed_length,
     ] {
         let reference = run_one_shot(&stream);
         let resumable = run_resumable(&stream, &[1]);
@@ -376,7 +521,7 @@ fn framing_bounds_match_one_shot() {
 #[test]
 fn header_cap_is_inclusive_on_both_parsers() {
     let mut stream = b"POST /edge HTTP/1.1\r\nContent-Length: 2\r\n".to_vec();
-    for i in 0..cmdl_server::http::MAX_HEADERS - 1 {
+    for i in 0..MAX_HEADERS - 1 {
         stream.extend_from_slice(format!("X-{i}: v\r\n").as_bytes());
     }
     stream.extend_from_slice(b"\r\nok");

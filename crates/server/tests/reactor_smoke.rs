@@ -1,8 +1,11 @@
-//! Reactor front-end smoke tests: route-surface parity against the
-//! thread-pool adapter (byte-identical envelopes once the
-//! non-deterministic `elapsed_micros` timing field is normalized),
+//! Front-end smoke tests: route-surface parity between the reactor and
+//! the blocking fallback (byte-identical envelopes once the
+//! non-deterministic `elapsed_micros` timing field is normalized, over
+//! every endpoint plus the 100-continue, `Transfer-Encoding` and
+//! duplicate-`Content-Length` framing cases), keep-alive and `/metrics`,
 //! pipelined ordering + coalescing, result-cache correctness across a
-//! generation bump, slow-loris reaping, and connection-cap shedding.
+//! generation bump, slow-loris reaping, and connection-cap shedding on
+//! both front ends.
 //!
 //! Every socket test falls back to an in-process equivalent when the
 //! sandbox denies loopback binds, so the suite is green everywhere.
@@ -17,8 +20,8 @@ use cmdl_core::{Cmdl, CmdlConfig, QueryBuilder};
 use cmdl_datalake::synth;
 use cmdl_server::reactor::cache::{CacheConfig, CacheOutcome, ResultCache};
 use cmdl_server::{
-    route_envelope, serve, serve_reactor, CmdlService, HttpConfig, ReactorConfig, ResponsePayload,
-    ServiceResponse,
+    route_envelope, serve_blocking, serve_reactor, CmdlService, ReactorConfig, ResponsePayload,
+    ServiceResponse, TenantHub,
 };
 use serde::Json;
 
@@ -124,9 +127,10 @@ fn zero_elapsed(value: &mut Json) {
     }
 }
 
-/// The endpoint sequence both transports run: (method, path, body,
-/// expected status). Mirrors the thread-pool smoke script — mutations and
-/// admin routes included, so writer-gate routing is exercised end to end.
+/// The endpoint sequence both front ends run: (method, path, body,
+/// expected status) — mutations and admin routes included, so writer-gate
+/// routing is exercised end to end. Every 200 carries `ok: true` and every
+/// other status `ok: false`.
 fn endpoint_script() -> Vec<(&'static str, &'static str, String, u16)> {
     let query = serde_json::to_string(&QueryBuilder::keyword("drug").top_k(5).build()).unwrap();
     let batch = serde_json::to_string(&vec![
@@ -181,80 +185,69 @@ fn endpoint_script() -> Vec<(&'static str, &'static str, String, u16)> {
     ]
 }
 
-/// Run the script over one keep-alive connection, returning raw
-/// (status, body) pairs.
-fn run_script(addr: std::net::SocketAddr) -> Vec<(u16, String)> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
+fn connect(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
+    stream
+}
+
+/// Run the script over one keep-alive connection, returning raw
+/// (status, body) pairs.
+fn run_script(addr: std::net::SocketAddr) -> Vec<(u16, String)> {
+    let mut stream = connect(addr);
     endpoint_script()
         .into_iter()
         .map(|(method, path, body, expected)| {
             let (status, response) = send(&mut stream, method, path, &body).expect("round-trip");
             assert_eq!(status, expected, "{method} {path}: {response}");
+            assert_eq!(parse(&response).ok, status == 200, "{method} {path}");
             (status, response)
         })
         .collect()
 }
 
-/// Tentpole acceptance: the reactor serves the identical route surface.
-/// Two identically built services, the same request script over both
-/// transports, and every response must match byte-for-byte after zeroing
-/// the timing field.
-#[test]
-fn reactor_answers_byte_identically_to_thread_pool() {
-    let pool_service = service();
-    let reactor_service = service();
-    let pool = match serve(Arc::clone(&pool_service), HttpConfig::default()) {
-        Ok(handle) => handle,
-        Err(err) => {
-            eprintln!("loopback bind denied ({err}); comparing in-process transports instead");
-            // Same parity property, one layer down: the reactor's dispatch
-            // splices through `route_envelope` exactly like the pool does,
-            // so in-process JSON answers from two identical services must
-            // agree byte-for-byte.
-            for (method, path, body, _status) in endpoint_script() {
-                let Some(envelope) = route_envelope(method, path, &body) else {
-                    continue;
-                };
-                let a = pool_service.handle_json(envelope.as_bytes());
-                let b = reactor_service.handle_json(envelope.as_bytes());
-                let a = serde_json::to_string(&a).unwrap();
-                let b = serde_json::to_string(&b).unwrap();
-                assert_eq!(normalized(&a), normalized(&b), "{method} {path}");
-            }
-            return;
-        }
+/// Everything a peer receives after sending one request whose two
+/// `Content-Length` headers disagree. The first header frames the body as
+/// a whole second request (`GET /healthz`), so a server that honoured it
+/// would answer twice; one that honoured the second would answer the
+/// `/query` and then the smuggled request. Both are wrong: the connection
+/// must close with nothing written.
+fn smuggled_response(addr: std::net::SocketAddr) -> Vec<u8> {
+    let smuggled = "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n";
+    let request = format!(
+        "POST /query HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nContent-Length: 0\r\n\r\n{smuggled}",
+        smuggled.len()
+    );
+    let mut stream = connect(addr);
+    stream.write_all(request.as_bytes()).expect("write");
+    let mut received = Vec::new();
+    // A timeout means the server kept the connection open; whatever it
+    // answered so far is in `received` either way.
+    let closed = match stream.read_to_end(&mut received) {
+        Ok(_) => true,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
     };
-    let reactor = serve_reactor(Arc::clone(&reactor_service), reactor_config())
-        .expect("reactor bind on loopback");
+    assert!(
+        closed,
+        "the connection must close; received: {}",
+        String::from_utf8_lossy(&received)
+    );
+    received
+}
 
-    let pool_answers = run_script(pool.addr());
-    let reactor_answers = run_script(reactor.addr());
-    assert_eq!(pool_answers.len(), reactor_answers.len());
-    let script = endpoint_script();
-    for (i, ((pool_status, pool_body), (reactor_status, reactor_body))) in
-        pool_answers.iter().zip(&reactor_answers).enumerate()
-    {
-        let (method, path, ..) = &script[i];
-        assert_eq!(pool_status, reactor_status, "{method} {path}");
-        assert_eq!(
-            normalized(pool_body),
-            normalized(reactor_body),
-            "{method} {path}: pool={pool_body} reactor={reactor_body}"
-        );
-    }
-
-    // The repeated query was answered from the cache — byte-identically.
-    assert!(reactor_service.metrics().cache_hits_total() >= 1);
-    assert_eq!(reactor_answers[2].1, reactor_answers[3].1);
-
-    // 100-continue handshake parity.
-    let mut stream = TcpStream::connect(reactor.addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
+/// The framing cases beyond the script, each answer returned for the
+/// parity comparison: the 100-continue handshake, a fresh connection
+/// after another closed, a `Transfer-Encoding` request (400, then close),
+/// and differing duplicate `Content-Length` headers (close, no answer).
+/// `/metrics` is asserted on, not compared: its counters differ by design
+/// (the reactor's cache and coalescer series).
+fn run_framing_cases(addr: std::net::SocketAddr) -> Vec<(u16, String)> {
+    let mut answers = Vec::new();
+    // `Expect: 100-continue` (curl sends it for large bodies) gets the
+    // interim response instead of a ~1 s stall.
+    let mut stream = connect(addr);
     let doc_body = serde_json::to_string(&cmdl_datalake::Document::new(
         "continue-note",
         "PubMed",
@@ -266,47 +259,177 @@ fn reactor_answers_byte_identically_to_thread_pool() {
         doc_body.len()
     );
     stream.write_all(request.as_bytes()).expect("write");
-    let (interim, _) = read_response(&mut stream).expect("interim");
-    assert_eq!(interim, 100);
-    let (status, body) = read_response(&mut stream).expect("final");
-    assert_eq!(status, 200, "{body}");
+    answers.push(read_response(&mut stream).expect("interim"));
+    assert_eq!(answers[0].0, 100);
+    answers.push(read_response(&mut stream).expect("final"));
+    assert_eq!(answers[1].0, 200, "{}", answers[1].1);
+    assert!(parse(&answers[1].1).ok);
 
-    // /metrics exposes the reactor series.
+    // /metrics is the one non-envelope endpoint.
     let (status, metrics) = send(&mut stream, "GET", "/metrics", "").expect("metrics");
     assert_eq!(status, 200);
-    assert!(
-        metrics.contains("cmdl_reactor_open_connections"),
-        "{metrics}"
-    );
-    assert!(
-        metrics.contains("cmdl_coalesce_batch_size_bucket"),
-        "{metrics}"
-    );
-    assert!(metrics.contains("cmdl_cache_hits_total"), "{metrics}");
+    for series in [
+        "cmdl_requests_total",
+        "cmdl_latency_p99_micros",
+        "cmdl_snapshot_generation",
+    ] {
+        assert!(metrics.contains(series), "{series}: {metrics}");
+    }
+    drop(stream);
 
-    // Transfer-encoding: clean 400 + close, same as the pool.
-    let mut chunked = TcpStream::connect(reactor.addr()).expect("connect");
-    chunked
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    chunked
+    // A fresh connection still works after another one closed.
+    let mut fresh = connect(addr);
+    answers.push(send(&mut fresh, "GET", "/healthz", "").expect("healthz"));
+    assert_eq!(answers[2].0, 200);
+
+    // Chunked bodies are not framed: a clean 400, then close, instead of
+    // letting the payload desync the keep-alive stream.
+    fresh
         .write_all(
             b"POST /query HTTP/1.1\r\nHost: localhost\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
         )
         .expect("chunked request");
-    let (status, body) = read_response(&mut chunked).expect("chunked rejection");
+    let (status, body) = read_response(&mut fresh).expect("chunked rejection");
     assert_eq!(status, 400, "{body}");
     assert_eq!(
         parse(&body).error_code(),
         Some(cmdl_core::ErrorCode::MalformedRequest)
     );
     let mut rest = Vec::new();
-    chunked.read_to_end(&mut rest).expect("close after 400");
+    fresh.read_to_end(&mut rest).expect("close after 400");
     assert!(rest.is_empty(), "connection must close after the 400");
+    answers.push((status, body));
+
+    let smuggled = smuggled_response(addr);
+    assert!(
+        smuggled.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&smuggled)
+    );
+    answers
+}
+
+/// Tentpole acceptance: both front ends serve the identical route
+/// surface. Two identically built services, the same requests over the
+/// reactor and the blocking fallback, and every response must match
+/// byte-for-byte after zeroing the timing field.
+#[test]
+fn reactor_answers_byte_identically_to_blocking_fallback() {
+    let fallback_service = service();
+    let reactor_service = service();
+    let fallback = match serve_blocking(
+        TenantHub::single(Arc::clone(&fallback_service)),
+        reactor_config(),
+    ) {
+        Ok(handle) => handle,
+        Err(err) => {
+            eprintln!("loopback bind denied ({err}); comparing in-process transports instead");
+            // Same parity property, one layer down: both front ends splice
+            // through `route_envelope`, so in-process JSON answers from two
+            // identical services must agree byte-for-byte.
+            for (method, path, body, status) in endpoint_script() {
+                let Some(envelope) = route_envelope(method, path, &body) else {
+                    continue;
+                };
+                let a = fallback_service.handle_json(envelope.as_bytes());
+                let b = reactor_service.handle_json(envelope.as_bytes());
+                assert_eq!(a.ok, status == 200, "{method} {path}");
+                let a = serde_json::to_string(&a).unwrap();
+                let b = serde_json::to_string(&b).unwrap();
+                assert_eq!(normalized(&a), normalized(&b), "{method} {path}");
+            }
+            return;
+        }
+    };
+    let reactor = serve_reactor(Arc::clone(&reactor_service), reactor_config())
+        .expect("reactor bind on loopback");
+
+    let mut fallback_answers = run_script(fallback.addr());
+    let mut reactor_answers = run_script(reactor.addr());
+    // The repeated query was answered from the cache — byte-identically.
+    assert!(reactor_service.metrics().cache_hits_total() >= 1);
+    assert_eq!(reactor_answers[2].1, reactor_answers[3].1);
+
+    fallback_answers.extend(run_framing_cases(fallback.addr()));
+    reactor_answers.extend(run_framing_cases(reactor.addr()));
+    assert_eq!(fallback_answers.len(), reactor_answers.len());
+    let mut labels: Vec<String> = endpoint_script()
+        .into_iter()
+        .map(|(method, path, ..)| format!("{method} {path}"))
+        .collect();
+    labels.extend(
+        [
+            "100-continue",
+            "continued ingest",
+            "fresh healthz",
+            "chunked",
+        ]
+        .map(String::from),
+    );
+    for (label, ((fallback_status, fallback_body), (reactor_status, reactor_body))) in labels
+        .iter()
+        .zip(fallback_answers.iter().zip(&reactor_answers))
+    {
+        assert_eq!(fallback_status, reactor_status, "{label}");
+        assert_eq!(
+            normalized_or_raw(fallback_body),
+            normalized_or_raw(reactor_body),
+            "{label}: fallback={fallback_body} reactor={reactor_body}"
+        );
+    }
+
+    // /metrics exposes the reactor's own series.
+    let mut stream = connect(reactor.addr());
+    let (status, metrics) = send(&mut stream, "GET", "/metrics", "").expect("metrics");
+    assert_eq!(status, 200);
+    for series in [
+        "cmdl_reactor_open_connections",
+        "cmdl_coalesce_batch_size_bucket",
+        "cmdl_cache_hits_total",
+    ] {
+        assert!(metrics.contains(series), "{series}: {metrics}");
+    }
 
     drop(stream);
     assert!(reactor.shutdown(), "reactor drains cleanly");
-    pool.shutdown();
+    assert!(fallback.shutdown(), "fallback drains cleanly");
+}
+
+/// A body that is not JSON (the 100 Continue interim) compares raw.
+fn normalized_or_raw(body: &str) -> String {
+    if body.is_empty() {
+        String::new()
+    } else {
+        normalized(body)
+    }
+}
+
+/// Differing duplicate `Content-Length` headers are a framing violation:
+/// the reactor closes the connection without answering and without
+/// serving the body as a request.
+#[test]
+fn differing_duplicate_content_length_closes_without_serving() {
+    let service = service();
+    let reactor = match serve_reactor(Arc::clone(&service), reactor_config()) {
+        Ok(handle) => handle,
+        Err(err) => {
+            eprintln!("loopback bind denied ({err}); the parser unit tests cover the framing");
+            return;
+        }
+    };
+    let served_before = service.metrics().requests_total();
+    let received = smuggled_response(reactor.addr());
+    assert!(
+        received.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&received)
+    );
+    assert_eq!(
+        service.metrics().requests_total(),
+        served_before,
+        "neither the /query nor the smuggled request may be served"
+    );
+    assert!(reactor.shutdown());
 }
 
 /// Pipelined requests on one connection come back in order, and
@@ -580,4 +703,40 @@ fn connection_cap_sheds_with_429() {
     drop(shed);
     drop(held);
     assert!(reactor.shutdown());
+}
+
+/// The blocking fallback caps open connections with the reactor's `429`
+/// envelope, and a held connection stays served.
+#[test]
+fn blocking_fallback_sheds_past_the_cap() {
+    let service = service();
+    let config = ReactorConfig {
+        max_connections: 1,
+        ..reactor_config()
+    };
+    let fallback = match serve_blocking(TenantHub::single(Arc::clone(&service)), config) {
+        Ok(handle) => handle,
+        Err(err) => {
+            eprintln!("loopback bind denied ({err}); skipping socket-level shed test");
+            return;
+        }
+    };
+    let mut held = connect(fallback.addr());
+    let (status, _) = send(&mut held, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(status, 200);
+
+    let mut shed = connect(fallback.addr());
+    let (status, body) = read_response(&mut shed).expect("shed response");
+    assert_eq!(status, 429, "{body}");
+    assert_eq!(
+        parse(&body).error_code(),
+        Some(cmdl_core::ErrorCode::Overloaded)
+    );
+    assert!(service.metrics().shed_total() >= 1);
+
+    let (status, _) = send(&mut held, "GET", "/healthz", "").expect("held healthz");
+    assert_eq!(status, 200);
+    drop(shed);
+    drop(held);
+    assert!(fallback.shutdown());
 }

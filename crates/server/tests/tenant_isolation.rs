@@ -4,22 +4,27 @@
 //! requests while pinned readers finish, fresh generations and persist
 //! directories for recreated names, and the `tenant`-labeled metrics
 //! exposition. Everything here runs through the in-process hub contract
-//! (the same `handle`/`handle_json` the HTTP adapters splice into), plus
+//! (the same `handle`/`handle_json` the HTTP front ends splice into), plus
 //! one wire-level pass over the `/t/<name>/` prefix when the sandbox
 //! allows loopback sockets.
 
+#[cfg(target_os = "linux")]
 use std::io::{BufRead, BufReader, Read, Write};
+#[cfg(target_os = "linux")]
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+#[cfg(target_os = "linux")]
 use std::time::Duration;
 
 use cmdl_core::{ErrorCode, QueryBuilder};
 use cmdl_datalake::{Column, Document, Table};
 use cmdl_server::{
-    http_status, serve_hub, split_tenant, HttpConfig, LakeQuotas, ResponsePayload, ServiceRequest,
-    ServiceResponse, TenantDefaults, TenantHub, TenantQuotas, DEFAULT_TENANT,
+    http_status, split_tenant, LakeQuotas, ResponsePayload, ServiceRequest, ServiceResponse,
+    TenantDefaults, TenantHub, TenantQuotas, DEFAULT_TENANT,
 };
+#[cfg(target_os = "linux")]
+use cmdl_server::{serve_reactor_hub, ReactorConfig};
 
 fn memory_hub() -> Arc<TenantHub> {
     TenantHub::new(TenantDefaults::default()).expect("in-memory hub")
@@ -529,9 +534,11 @@ fn exposition_carries_tenant_labels_next_to_global_totals() {
 }
 
 // -------------------------------------------------------------------
-// Wire-level pass (skipped when the sandbox denies loopback sockets).
+// Wire-level pass over the reactor (skipped when the sandbox denies
+// loopback sockets).
 // -------------------------------------------------------------------
 
+#[cfg(target_os = "linux")]
 fn send(
     stream: &mut TcpStream,
     method: &str,
@@ -571,22 +578,16 @@ fn send(
     Ok((status, String::from_utf8_lossy(&body).into_owned()))
 }
 
+#[cfg(target_os = "linux")]
 fn parse(body: &str) -> ServiceResponse {
     serde_json::from_str(body).expect("body is a ServiceResponse envelope")
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tenant_prefix_routes_over_http() {
     let hub = memory_hub();
-    let handle = match serve_hub(
-        Arc::clone(&hub),
-        HttpConfig {
-            threads: 2,
-            queue_capacity: 16,
-            read_timeout: Duration::from_secs(2),
-            ..HttpConfig::default()
-        },
-    ) {
+    let handle = match serve_reactor_hub(Arc::clone(&hub), ReactorConfig::default()) {
         Ok(handle) => handle,
         Err(err) => {
             // Sandbox denied loopback sockets: the in-process tests above

@@ -6,10 +6,11 @@
 //!
 //! Run with: `cargo run --example service_quickstart`
 //!
-//! Pick the transport with `-- --transport pool` (fixed thread pool, the
-//! default) or `-- --transport reactor` (epoll readiness loop with request
-//! coalescing and the generation-keyed result cache; Linux only). Both
-//! serve the identical route surface byte-for-byte.
+//! The HTTP front end is the epoll reactor (request coalescing and the
+//! generation-keyed result cache; Linux). Pass `-- --transport blocking`
+//! for the thread-per-connection fallback, which is also what runs on
+//! platforms without epoll. Both serve the identical route surface
+//! byte-for-byte.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -18,11 +19,11 @@ use std::time::Duration;
 
 use cmdl::core::{Cmdl, CmdlConfig, QueryBuilder};
 use cmdl::datalake::{synth, Column, Table};
-use cmdl::server::{serve, CmdlService, HttpConfig, ServiceRequest};
+use cmdl::server::{serve_blocking, CmdlService, ReactorConfig, ServiceRequest, TenantHub};
 
 /// The two HTTP front ends, selected by `--transport`.
 enum Transport {
-    Pool(cmdl::server::HttpHandle),
+    Blocking(cmdl::server::BlockingHandle),
     #[cfg(target_os = "linux")]
     Reactor(cmdl::server::ReactorHandle),
 }
@@ -30,7 +31,7 @@ enum Transport {
 impl Transport {
     fn addr(&self) -> SocketAddr {
         match self {
-            Transport::Pool(handle) => handle.addr(),
+            Transport::Blocking(handle) => handle.addr(),
             #[cfg(target_os = "linux")]
             Transport::Reactor(handle) => handle.addr(),
         }
@@ -38,7 +39,7 @@ impl Transport {
 
     fn shutdown(self) {
         match self {
-            Transport::Pool(handle) => {
+            Transport::Blocking(handle) => {
                 handle.shutdown();
             }
             #[cfg(target_os = "linux")]
@@ -77,19 +78,23 @@ fn main() {
     let stats = service.handle_json_bytes(br#""Stats""#);
     println!("stats -> {}", String::from_utf8_lossy(&stats));
 
-    // 4. An HTTP front end: both are std-only, no async runtime. The
-    //    thread pool parks a worker per connection; the reactor multiplexes
-    //    every connection over one epoll loop, coalesces same-tick /query
-    //    requests into one batched execute, and answers repeated queries
-    //    from a generation-keyed result cache.
-    let want_reactor =
-        std::env::args().skip_while(|a| a != "--transport").nth(1) == Some("reactor".to_string());
-    let booted = if want_reactor {
-        boot_reactor(&service)
+    // 4. An HTTP front end: std-only, no async runtime. The reactor
+    //    multiplexes every connection over one epoll loop, coalesces
+    //    same-tick /query requests into one batched execute, and answers
+    //    repeated queries from a generation-keyed result cache; the
+    //    blocking fallback parks a thread per connection.
+    let want_blocking = !cfg!(target_os = "linux")
+        || std::env::args().skip_while(|a| a != "--transport").nth(1)
+            == Some("blocking".to_string());
+    let booted = if want_blocking {
+        serve_blocking(
+            TenantHub::single(Arc::clone(&service)),
+            ReactorConfig::default(),
+        )
+        .map(Transport::Blocking)
+        .map_err(|e| e.to_string())
     } else {
-        serve(Arc::clone(&service), HttpConfig::default())
-            .map(Transport::Pool)
-            .map_err(|e| e.to_string())
+        boot_reactor(&service)
     };
     let transport = match booted {
         Ok(transport) => transport,
@@ -99,10 +104,10 @@ fn main() {
         }
     };
     let addr = transport.addr();
-    let label = if want_reactor {
-        "reactor"
+    let label = if want_blocking {
+        "blocking fallback"
     } else {
-        "thread pool"
+        "reactor"
     };
     println!("serving on http://{addr} ({label})");
 
@@ -141,5 +146,5 @@ fn boot_reactor(service: &Arc<CmdlService>) -> Result<Transport, String> {
 
 #[cfg(not(target_os = "linux"))]
 fn boot_reactor(_service: &Arc<CmdlService>) -> Result<Transport, String> {
-    Err("the reactor transport is Linux-only (epoll); use --transport pool".to_string())
+    unreachable!("the reactor is Linux-only (epoll); the blocking fallback serves elsewhere")
 }
