@@ -194,7 +194,7 @@ impl<'a> Aurum<'a> {
                 (table, score.clamp(0.0, 1.0))
             })
             .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        crate::sort_table_answers(&mut out);
         out.truncate(top_k);
         out
     }
@@ -234,7 +234,8 @@ mod tests {
     fn jaccard_penalizes_skewed_cardinalities() {
         let (profiled, config) = setup();
         let aurum = Aurum::new(&profiled, &config);
-        let cmdl_join = cmdl_core::JoinDiscovery::new(&profiled, &config);
+        let columns = cmdl_core::ColumnIndex::build(&profiled);
+        let cmdl_join = cmdl_core::JoinDiscovery::new(&profiled, &columns, &config);
         // Enzyme_Targets.Id values are a subset of Enzymes.Id (skewed overlap):
         // containment sees 1.0, Jaccard sees less.
         let sub = profiled
@@ -264,7 +265,8 @@ mod tests {
             .iter()
             .filter(|l| truth.contains(&(l.pk_name.clone(), l.fk_name.clone())))
             .count();
-        let cmdl_hits = cmdl_core::JoinDiscovery::new(&profiled, &config)
+        let columns = cmdl_core::ColumnIndex::build(&profiled);
+        let cmdl_hits = cmdl_core::JoinDiscovery::new(&profiled, &columns, &config)
             .pkfk_links()
             .iter()
             .filter(|l| truth.contains(&(l.pk_name.clone(), l.fk_name.clone())))

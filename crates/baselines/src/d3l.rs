@@ -195,7 +195,7 @@ impl<'a> D3l<'a> {
                 (table, (sorted.iter().sum::<f64>() / denom).clamp(0.0, 1.0))
             })
             .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        crate::sort_table_answers(&mut out);
         out.truncate(top_k);
         out
     }

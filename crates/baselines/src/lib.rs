@@ -40,3 +40,78 @@ pub use entity::{EntityMatcher, EntityMetric};
 /// A table-level discovery answer shared by all baselines: table name plus
 /// relevance score, sorted descending by the caller.
 pub type TableAnswer = (String, f64);
+
+/// Sort table answers by score descending, ties by table name. The answers
+/// are aggregated in a `HashMap`, so without the name tie-break equal-scored
+/// tables — and which of them survive a `top_k` cut — would change from run
+/// to run.
+pub fn sort_table_answers(answers: &mut [TableAnswer]) {
+    answers.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.0.cmp(&b.0))
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cmdl_core::{CmdlConfig, ProfiledLake, Profiler};
+    use cmdl_datalake::{Column, DataLake, Table};
+
+    /// A query table plus two identical candidate tables whose names
+    /// differ only in a delimiter (so their metadata tokens, and hence
+    /// their embeddings, are identical too), ingested in reverse name
+    /// order.
+    fn twin_lake() -> (ProfiledLake, CmdlConfig) {
+        let table = |name: &str| {
+            Table::new(
+                name,
+                vec![
+                    Column::from_texts("region_code", ["e01", "e02", "e03", "e04", "e05"]),
+                    Column::from_texts("region_name", ["leeds", "york", "hull", "bath", "ely"]),
+                ],
+            )
+        };
+        let mut lake = DataLake::new("twins");
+        lake.add_table(table("regions"));
+        lake.add_table(table("twin_copy"));
+        lake.add_table(table("twin-copy"));
+        let config = CmdlConfig::fast();
+        (Profiler::new(&config).profile_lake(lake), config)
+    }
+
+    fn assert_stable_and_name_ordered(system: &str, runs: Vec<Vec<TableAnswer>>) {
+        let first = &runs[0];
+        for run in &runs {
+            assert_eq!(run, first, "{system}: ranking changed between calls");
+        }
+        let twins: Vec<&TableAnswer> = first.iter().filter(|(t, _)| t.contains("copy")).collect();
+        assert_eq!(twins.len(), 2, "{system}: both twins ranked: {first:?}");
+        assert_eq!(twins[0].1, twins[1].1, "{system}: twins tie");
+        assert_eq!(
+            (twins[0].0.as_str(), twins[1].0.as_str()),
+            ("twin-copy", "twin_copy"),
+            "{system}: a tie ranks by name"
+        );
+    }
+
+    #[test]
+    fn union_baselines_break_score_ties_by_table_name() {
+        let (profiled, config) = twin_lake();
+        let aurum = Aurum::new(&profiled, &config);
+        let d3l = D3l::new(&profiled, &config);
+        assert_stable_and_name_ordered(
+            "Aurum",
+            (0..20)
+                .map(|_| aurum.unionable_tables("regions", 10))
+                .collect(),
+        );
+        assert_stable_and_name_ordered(
+            "D3L",
+            (0..20)
+                .map(|_| d3l.unionable_tables("regions", 10))
+                .collect(),
+        );
+    }
+}

@@ -16,7 +16,7 @@ const MEASURES: [&str; 5] = ["name", "containment", "numeric", "semantic", "ense
 fn run(label: &str, synth: SyntheticLake, id: BenchmarkId, k: usize) {
     let benchmark = unionable_benchmark(id, &synth);
     let cmdl = build_system(synth.lake);
-    let union = UnionDiscovery::new(&cmdl.profiled, &cmdl.config);
+    let union = UnionDiscovery::new(&cmdl.profiled, &cmdl.indexes.columns);
 
     // For every measure, collect the true matches found across all queries.
     let mut found: Vec<BTreeSet<String>> = vec![BTreeSet::new(); MEASURES.len()];

@@ -1,0 +1,385 @@
+//! The column index behind structured discovery: the index proposes, the
+//! exact scorer verifies.
+//!
+//! [`ColumnIndex`] holds, for every live tabular column, what the join,
+//! union and PK-FK scorers would otherwise recompute per column *pair*:
+//!
+//! * a **posting list per distinct value**, listing the slots of the
+//!   non-numeric columns that hold it — so the exact overlap
+//!   `|q ∩ c|` of a query column with *every* column is one walk over the
+//!   query's values, instead of two hash sets built per pair;
+//! * per-column **prepared name features** ([`NameFeatures`]), so a name
+//!   comparison tokenizes nothing;
+//! * the **solo-vector self-dot** (the squared norm the cosine needs);
+//! * the owning **table slot**, and a **live column count per table**.
+//!
+//! Every score computed from the index is bit-identical to the pairwise
+//! scan it replaces (the `*_brute` scorers in [`crate::join`] and
+//! [`crate::union`] keep that scan as the reference): containment is
+//! `overlap / |set|` over the same integers, and the prepared features
+//! feed the same arithmetic.
+//!
+//! Slots are positions in insertion order. [`build`](ColumnIndex::build)
+//! inserts the lake's columns in canonical order; ingestion appends;
+//! removal clears the slot and deletes it from every posting list it was
+//! on; [`IndexCatalog::compact`](crate::indexes::IndexCatalog::compact)
+//! rebuilds, so a compacted index equals a batch-built one. Slots are
+//! local to one catalog: a shard looks values up by string, never by
+//! another shard's slot.
+
+use std::collections::HashMap;
+
+use cmdl_datalake::{DeId, DeKind};
+use cmdl_nn::dot_f32;
+use cmdl_text::strsim::NameFeatures;
+
+use crate::profile::{DeProfile, ProfiledLake};
+
+/// What the structured scorers need of one indexed column.
+#[derive(Debug, Clone)]
+pub(crate) struct ColumnEntry {
+    /// Element id of the column.
+    pub id: DeId,
+    /// Slot of the owning table.
+    pub table: u32,
+    /// Number of distinct values (the containment denominator).
+    pub distinct: usize,
+    /// `tags.numeric`: numeric columns are on no posting list.
+    pub numeric: bool,
+    /// `tags.join_candidate`.
+    pub join_candidate: bool,
+    /// The prepared column name.
+    pub name: NameFeatures,
+    /// `dot(solo, solo)` of the solo content embedding.
+    pub solo_self_dot: f32,
+}
+
+/// A table known to the index.
+#[derive(Debug, Clone)]
+struct TableEntry {
+    name: String,
+    /// Live columns of the table.
+    columns: usize,
+}
+
+/// Value → column posting map plus per-column prepared features over the
+/// tabular columns of one catalog (see the module docs).
+///
+/// Column profiles carry their values de-duplicated
+/// (`Column::distinct_texts`), which the overlap counts rely on.
+#[derive(Debug, Clone, Default)]
+pub struct ColumnIndex {
+    /// Distinct value → slots of the non-numeric columns holding it,
+    /// ascending.
+    postings: HashMap<String, Vec<u32>>,
+    /// Per slot, the column entry; `None` once removed.
+    entries: Vec<Option<ColumnEntry>>,
+    /// Live column id → slot.
+    slots: HashMap<DeId, u32>,
+    /// Per table slot, its name and live column count. A table slot is
+    /// kept (with a zero count) after its last column leaves, so a name
+    /// ingested again reuses it.
+    tables: Vec<TableEntry>,
+    /// Table name → table slot.
+    table_slots: HashMap<String, u32>,
+    /// Total entries over all posting lists.
+    num_postings: usize,
+}
+
+impl ColumnIndex {
+    /// Index every column of a profiled lake, in canonical (`column_ids`)
+    /// order.
+    pub fn build(profiled: &ProfiledLake) -> Self {
+        let mut index = Self::default();
+        for profile in profiled
+            .column_ids
+            .iter()
+            .filter_map(|&id| profiled.profile(id))
+        {
+            index.insert(profile);
+        }
+        index
+    }
+
+    /// Index one column profile (documents are ignored).
+    pub(crate) fn insert(&mut self, profile: &DeProfile) {
+        if profile.kind != DeKind::Column {
+            return;
+        }
+        let slot = self.entries.len() as u32;
+        let table_name = profile.table_name.as_deref().unwrap_or_default();
+        let table = match self.table_slots.get(table_name) {
+            Some(&table) => table,
+            None => {
+                let table = self.tables.len() as u32;
+                self.tables.push(TableEntry {
+                    name: table_name.to_string(),
+                    columns: 0,
+                });
+                self.table_slots.insert(table_name.to_string(), table);
+                table
+            }
+        };
+        self.tables[table as usize].columns += 1;
+        if !profile.tags.numeric {
+            for value in &profile.distinct_values {
+                // Slots only grow, so each posting list stays ascending.
+                self.postings.entry(value.clone()).or_default().push(slot);
+            }
+            self.num_postings += profile.distinct_values.len();
+        }
+        let solo = &profile.solo.content;
+        self.entries.push(Some(ColumnEntry {
+            id: profile.id,
+            table,
+            distinct: profile.distinct_values.len(),
+            numeric: profile.tags.numeric,
+            join_candidate: profile.tags.join_candidate,
+            name: NameFeatures::new(&profile.name),
+            solo_self_dot: dot_f32(solo, solo),
+        }));
+        self.slots.insert(profile.id, slot);
+    }
+
+    /// Drop one column profile: its slot is cleared and removed from every
+    /// posting list it was on (values left with no column are forgotten).
+    pub(crate) fn remove(&mut self, profile: &DeProfile) {
+        let Some(slot) = self.slots.remove(&profile.id) else {
+            return;
+        };
+        let Some(entry) = self.entries[slot as usize].take() else {
+            return;
+        };
+        self.tables[entry.table as usize].columns -= 1;
+        if entry.numeric {
+            return;
+        }
+        for value in &profile.distinct_values {
+            if let Some(posting) = self.postings.get_mut(value.as_str()) {
+                if let Ok(at) = posting.binary_search(&slot) {
+                    posting.remove(at);
+                    self.num_postings -= 1;
+                }
+                if posting.is_empty() {
+                    self.postings.remove(value.as_str());
+                }
+            }
+        }
+    }
+
+    /// Live indexed columns.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Is no column indexed?
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Distinct values with a posting list.
+    pub(crate) fn num_values(&self) -> usize {
+        self.postings.len()
+    }
+
+    /// Total entries over all posting lists.
+    pub(crate) fn num_postings(&self) -> usize {
+        self.num_postings
+    }
+
+    /// The slot and entry of a live column.
+    pub(crate) fn entry_of(&self, id: DeId) -> Option<(u32, &ColumnEntry)> {
+        let slot = *self.slots.get(&id)?;
+        Some((slot, self.entries[slot as usize].as_ref()?))
+    }
+
+    /// Every live entry, in slot order.
+    pub(crate) fn live_entries(&self) -> impl Iterator<Item = &ColumnEntry> {
+        self.entries.iter().flatten()
+    }
+
+    /// The entry at a slot, if live.
+    pub(crate) fn entry(&self, slot: u32) -> Option<&ColumnEntry> {
+        self.entries[slot as usize].as_ref()
+    }
+
+    /// The slot of a known table name.
+    pub(crate) fn table_slot(&self, name: &str) -> Option<u32> {
+        self.table_slots.get(name).copied()
+    }
+
+    /// The name of a table slot.
+    pub(crate) fn table_name(&self, table: u32) -> &str {
+        &self.tables[table as usize].name
+    }
+
+    /// Live columns of a table slot.
+    pub(crate) fn table_columns(&self, table: u32) -> usize {
+        self.tables[table as usize].columns
+    }
+
+    /// A zeroed overlap counter sized for this index's slots.
+    pub(crate) fn overlap_counter(&self) -> OverlapCounter {
+        OverlapCounter::new(self.entries.len())
+    }
+
+    /// Count, per column slot, how many of `values` the column holds —
+    /// `|values ∩ column|` for every non-numeric column at once (`values`
+    /// must be distinct). The values are looked up by string, so they may
+    /// come from a column of another catalog.
+    pub(crate) fn count_overlaps(&self, values: &[String], counter: &mut OverlapCounter) {
+        for value in values {
+            if let Some(posting) = self.postings.get(value.as_str()) {
+                for &slot in posting {
+                    counter.bump(slot);
+                }
+            }
+        }
+    }
+}
+
+/// Per-slot overlap counts with the list of touched slots, so clearing
+/// and iterating cost the touched slots, not the whole index.
+pub(crate) struct OverlapCounter {
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl OverlapCounter {
+    /// A zeroed counter over `slots` slots.
+    pub(crate) fn new(slots: usize) -> Self {
+        Self {
+            counts: vec![0; slots],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Count one more shared value for `slot`.
+    pub(crate) fn bump(&mut self, slot: u32) {
+        let count = &mut self.counts[slot as usize];
+        if *count == 0 {
+            self.touched.push(slot);
+        }
+        *count += 1;
+    }
+
+    /// The count of one slot.
+    pub(crate) fn get(&self, slot: u32) -> u32 {
+        self.counts[slot as usize]
+    }
+
+    /// Every slot with a non-zero count, with its count, in first-touch
+    /// order.
+    pub(crate) fn touched(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.touched
+            .iter()
+            .map(|&slot| (slot, self.counts[slot as usize]))
+    }
+
+    /// Zero every count.
+    pub(crate) fn clear(&mut self) {
+        for &slot in &self.touched {
+            self.counts[slot as usize] = 0;
+        }
+        self.touched.clear();
+    }
+}
+
+/// `overlap / len` — the exact containment of a set of `len` distinct
+/// values in a set sharing `overlap` of them; `0.0` for an empty set (as
+/// `cmdl_sketch::exact_containment` defines it).
+pub(crate) fn containment_ratio(overlap: u32, len: usize) -> f64 {
+    if len == 0 {
+        0.0
+    } else {
+        f64::from(overlap) / len as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::CmdlConfig;
+    use crate::profile::Profiler;
+    use cmdl_datalake::synth;
+
+    fn pharma() -> ProfiledLake {
+        Profiler::new(&CmdlConfig::fast())
+            .profile_lake(synth::pharma::generate(&synth::PharmaConfig::tiny()).lake)
+    }
+
+    #[test]
+    fn postings_list_exactly_the_text_columns_holding_each_value() {
+        let profiled = pharma();
+        let index = ColumnIndex::build(&profiled);
+        assert_eq!(index.len(), profiled.column_ids.len());
+        let mut expected_postings = 0;
+        for &id in &profiled.column_ids {
+            let profile = profiled.profile(id).unwrap();
+            let (slot, entry) = index.entry_of(id).unwrap();
+            assert_eq!(entry.distinct, profile.distinct_values.len());
+            if profile.tags.numeric {
+                continue;
+            }
+            expected_postings += profile.distinct_values.len();
+            for value in &profile.distinct_values {
+                assert!(index.postings[value].contains(&slot));
+            }
+        }
+        assert_eq!(index.num_postings(), expected_postings);
+        let drugs = index.table_slot("Drugs").unwrap();
+        assert_eq!(
+            index.table_columns(drugs),
+            profiled.columns_of_table("Drugs").len()
+        );
+    }
+
+    #[test]
+    fn remove_then_rebuild_matches_a_build_without_the_table() {
+        let profiled = pharma();
+        let mut index = ColumnIndex::build(&profiled);
+        let removed = profiled.columns_of_table("Drugs");
+        for id in &removed {
+            index.remove(profiled.profile(*id).unwrap());
+        }
+        let drugs = index.table_slot("Drugs").unwrap();
+        assert_eq!(index.table_columns(drugs), 0);
+        assert_eq!(index.len(), profiled.column_ids.len() - removed.len());
+        let mut survivors = profiled.clone();
+        survivors.column_ids.retain(|id| !removed.contains(id));
+        let rebuilt = ColumnIndex::build(&survivors);
+        // Same value set and posting volume; slots differ until a rebuild.
+        assert_eq!(index.num_values(), rebuilt.num_values());
+        assert_eq!(index.num_postings(), rebuilt.num_postings());
+        for (value, posting) in &rebuilt.postings {
+            assert_eq!(index.postings[value].len(), posting.len());
+        }
+    }
+
+    #[test]
+    fn overlap_counts_match_set_intersections() {
+        let profiled = pharma();
+        let index = ColumnIndex::build(&profiled);
+        let query = profiled
+            .profile(profiled.lake.column_id_by_name("Drugs", "Id").unwrap())
+            .unwrap();
+        let mut counter = index.overlap_counter();
+        index.count_overlaps(&query.distinct_values, &mut counter);
+        for &id in &profiled.column_ids {
+            let (slot, entry) = index.entry_of(id).unwrap();
+            let profile = profiled.profile(entry.id).unwrap();
+            let expected = if profile.tags.numeric {
+                0
+            } else {
+                profile
+                    .distinct_values
+                    .iter()
+                    .filter(|v| query.distinct_values.contains(v))
+                    .count() as u32
+            };
+            assert_eq!(counter.get(slot), expected, "{}", profile.qualified_name);
+        }
+        counter.clear();
+        assert_eq!(counter.touched().count(), 0);
+    }
+}

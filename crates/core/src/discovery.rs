@@ -355,7 +355,7 @@ impl Cmdl {
         let mut indexes = indexes?;
         let ekg: Ekg = parse("ekg", section(segment, "ekg")?)?;
         let joint: Option<JointModel> = parse("joint", section(segment, "joint")?)?;
-        indexes.restore_runtime_state(&config);
+        indexes.restore_runtime_state(&profiled, &config);
         let profiler = Profiler::new(&config);
         Ok(Self {
             config,

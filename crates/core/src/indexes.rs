@@ -5,7 +5,9 @@
 //! (the elastic-search role), MinHash signatures with the LSH Ensemble for
 //! containment queries, and solo embeddings with the Annoy-style ANN index.
 //! After the joint model is trained, the joint embeddings are indexed with a
-//! second ANN index (see [`crate::discovery::Cmdl::train_joint`]).
+//! second ANN index (see [`crate::discovery::Cmdl::train_joint`]). The
+//! tabular columns' distinct values, names and embedding norms feed the
+//! [`ColumnIndex`] that join, union and PK-FK discovery probe.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,6 +17,7 @@ use cmdl_index::{AnnIndex, AnnIndexConfig, CorpusStats, InvertedIndex, ScoringFu
 use cmdl_sketch::{LshEnsemble, LshEnsembleConfig, MinHash};
 use cmdl_text::BagOfWords;
 
+use crate::column_index::ColumnIndex;
 use crate::config::CmdlConfig;
 use crate::profile::{DeProfile, ProfiledLake};
 
@@ -132,6 +135,12 @@ pub struct IndexCatalog {
     /// after joint training. Reference-counted: the joint ANN index shares
     /// the same vectors.
     pub joint_embeddings: HashMap<DeId, Arc<Vec<f32>>>,
+    /// Value postings and prepared features of the tabular columns, for
+    /// join, union and PK-FK discovery. Derived entirely from the
+    /// profiles, so it is not serialized: a segment load rebuilds it (see
+    /// [`restore_runtime_state`](Self::restore_runtime_state)).
+    #[serde(skip)]
+    pub columns: ColumnIndex,
 }
 
 impl IndexCatalog {
@@ -147,7 +156,7 @@ impl IndexCatalog {
         // is reproducible across runs.
         let ordered = ordered_profiles(profiled);
 
-        let ((content, metadata), (containment, solo_ann)) = rayon::join(
+        let ((content, metadata), ((containment, solo_ann), columns)) = rayon::join(
             || {
                 rayon::join(
                     || {
@@ -170,8 +179,13 @@ impl IndexCatalog {
             },
             || {
                 rayon::join(
-                    || build_containment(&ordered, config),
-                    || build_solo_ann(&ordered, config),
+                    || {
+                        rayon::join(
+                            || build_containment(&ordered, config),
+                            || build_solo_ann(&ordered, config),
+                        )
+                    },
+                    || ColumnIndex::build(profiled),
                 )
             },
         );
@@ -183,6 +197,7 @@ impl IndexCatalog {
             solo_ann,
             joint_ann: None,
             joint_embeddings: HashMap::new(),
+            columns,
         };
         // Arm the lazy IDF-refresh policy for the incremental delta path.
         catalog
@@ -202,7 +217,8 @@ impl IndexCatalog {
     /// *topology-dependent* (their candidate sets depend on the full set of
     /// indexed elements, not just the probed ones), so partitioning them
     /// across shards would change cross-modal results. The text indexes,
-    /// which partition exactly, stay on the shards. Construction goes
+    /// which partition exactly, stay on the shards — as does the column
+    /// index, which structured discovery probes per shard. Construction goes
     /// through the same canonical `build_containment`/`build_solo_ann`
     /// code paths as [`build`](Self::build), so the replica's probe results
     /// are bit-identical to a single unpartitioned catalog's.
@@ -219,16 +235,18 @@ impl IndexCatalog {
             solo_ann,
             joint_ann: None,
             joint_embeddings: HashMap::new(),
+            columns: ColumnIndex::default(),
         }
     }
 
     /// Apply the delta of one freshly profiled element to every index in
-    /// place (postings appends, LSH delta insert, ANN delta-tail insert) —
-    /// no index is rebuilt. Eligibility uses the same predicates as
-    /// [`build`](Self::build).
+    /// place (postings appends, column-index append, LSH delta insert, ANN
+    /// delta-tail insert) — no index is rebuilt. Eligibility uses the same
+    /// predicates as [`build`](Self::build).
     pub fn ingest_profile(&mut self, profile: &DeProfile) {
         self.content.add(profile.id.raw(), &profile.content);
         self.metadata.add(profile.id.raw(), &profile.metadata);
+        self.columns.insert(profile);
         self.ingest_profile_sketch_only(profile);
     }
 
@@ -260,11 +278,13 @@ impl IndexCatalog {
         self.joint_embeddings.insert(profile.id, vector);
     }
 
-    /// Tombstone one element in every index. The space is reclaimed by the
-    /// next [`compact`](Self::compact).
+    /// Tombstone one element in every index (the column index drops it
+    /// from its posting lists at once). The space is reclaimed by the next
+    /// [`compact`](Self::compact).
     pub fn remove_element(&mut self, profile: &DeProfile) {
         self.content.remove(profile.id.raw());
         self.metadata.remove(profile.id.raw());
+        self.columns.remove(profile);
         self.remove_element_sketch_only(profile);
     }
 
@@ -340,13 +360,14 @@ impl IndexCatalog {
 
     /// Fold all delta state back into the dense layouts: the inverted
     /// indexes compact in place (tombstones dropped, IDF re-finalized), and
-    /// the sketch indexes are rebuilt from the profiles in the lake's
-    /// canonical element order — so a compacted catalog is structurally
-    /// identical to one batch-built over the surviving elements (identical
-    /// partitions, identical ANN trees, identical scores).
+    /// the column index and sketch indexes are rebuilt from the profiles in
+    /// the lake's canonical element order — so a compacted catalog is
+    /// structurally identical to one batch-built over the surviving
+    /// elements (identical slots, partitions, ANN trees, scores).
     pub fn compact(&mut self, profiled: &ProfiledLake, config: &CmdlConfig) {
         self.content.compact();
         self.metadata.compact();
+        self.columns = ColumnIndex::build(profiled);
 
         let ordered = ordered_profiles(profiled);
         self.containment = build_containment(&ordered, config);
@@ -407,10 +428,12 @@ impl IndexCatalog {
 
     /// Re-arm the runtime-only state that `#[serde(skip)]` drops across a
     /// segment round-trip: IDF caches and the lazy-refresh policy on the
-    /// inverted indexes, and the LSH probe accelerator (the ANN id maps
-    /// rebuild themselves lazily). Deserialization + this call restores a
-    /// catalog that answers queries identically to the one serialized.
-    pub fn restore_runtime_state(&mut self, config: &CmdlConfig) {
+    /// inverted indexes, the LSH probe accelerator (the ANN id maps
+    /// rebuild themselves lazily), and the column index, rebuilt from the
+    /// restored profiles. Deserialization + this call restores a catalog
+    /// that answers queries identically to the one serialized.
+    pub fn restore_runtime_state(&mut self, profiled: &ProfiledLake, config: &CmdlConfig) {
+        self.columns = ColumnIndex::build(profiled);
         self.content.finalize();
         self.metadata.finalize();
         self.content
@@ -590,6 +613,7 @@ mod tests {
         let (profiled, catalog, _) = build();
         assert_eq!(catalog.content.len(), profiled.len());
         assert_eq!(catalog.metadata.len(), profiled.len());
+        assert_eq!(catalog.columns.len(), profiled.column_ids.len());
         assert!(!catalog.containment.is_empty());
         assert!(!catalog.solo_ann.is_empty());
         assert!(catalog.joint_ann.is_none());

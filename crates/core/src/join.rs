@@ -10,15 +10,30 @@
 //!   the PK column, the PK column must be key-like (cardinality ≈ 1), and
 //!   the two columns should have similar names; numeric key pairs use the
 //!   numeric-overlap similarity as in Aurum.
+//!
+//! Both are index-first. A text column joins only columns that share at
+//! least one value with it (its score is a containment, and a containment
+//! of zero overlap is zero), so [`JoinDiscovery::joinable_candidates`]
+//! walks the query's values through the [`ColumnIndex`] posting lists and
+//! scores exactly the columns it reaches — no candidate is missed, so no
+//! recall floor is needed. Numeric queries score the numeric columns
+//! only. The PK-FK sweep ([`pkfk_links_over`]) builds a transient map from
+//! PK value to PK candidate and counts each FK's overlaps through it, so
+//! only pairs that share values (or, with a zero containment threshold,
+//! every pair) reach the threshold and the name comparison. The
+//! pre-index scans survive as [`JoinDiscovery::joinable_candidates_brute`]
+//! and [`pkfk_links_over_brute`], the references the parity suite holds
+//! the indexed paths to, bit for bit.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
 use cmdl_datalake::{DeId, DeKind};
 use cmdl_sketch::{exact_containment, numeric_overlap};
-use cmdl_text::strsim::name_similarity;
+use cmdl_text::strsim::{name_similarity, NameFeatures};
 
+use crate::column_index::{containment_ratio, ColumnEntry, ColumnIndex, OverlapCounter};
 use crate::config::CmdlConfig;
 use crate::profile::{DeProfile, ProfiledLake};
 
@@ -43,23 +58,32 @@ pub struct PkFkLink {
     pub uniqueness: f64,
 }
 
-/// Joinability discovery over a profiled lake.
+/// Joinability discovery over a profiled lake and its column index (the
+/// two must describe the same catalog generation).
 pub struct JoinDiscovery<'a> {
     profiled: &'a ProfiledLake,
+    columns: &'a ColumnIndex,
     config: &'a CmdlConfig,
 }
 
 impl<'a> JoinDiscovery<'a> {
     /// Create a join-discovery engine.
-    pub fn new(profiled: &'a ProfiledLake, config: &'a CmdlConfig) -> Self {
-        Self { profiled, config }
+    pub fn new(
+        profiled: &'a ProfiledLake,
+        columns: &'a ColumnIndex,
+        config: &'a CmdlConfig,
+    ) -> Self {
+        Self {
+            profiled,
+            columns,
+            config,
+        }
     }
 
     /// Bidirectional containment-based join score between two column
     /// profiles: `max(containment(a ⊂ b), containment(b ⊂ a))`, computed
-    /// exactly on the distinct value sets (columns are profiled with their
-    /// distinct values, so this is cheap), with numeric columns falling back
-    /// to the numeric range-overlap measure.
+    /// exactly on the distinct value sets, with numeric columns falling
+    /// back to the numeric range-overlap measure.
     pub fn join_score(&self, a: &DeProfile, b: &DeProfile) -> f64 {
         if a.tags.numeric && b.tags.numeric {
             return match (&a.numeric, &b.numeric) {
@@ -89,14 +113,25 @@ impl<'a> JoinDiscovery<'a> {
         scored
     }
 
-    /// The unsorted scan underlying
-    /// [`joinable_columns`](Self::joinable_columns): score every local
-    /// join-candidate column against the query profile. The query profile
-    /// may be *foreign* (resident on another shard) — the shard router
-    /// scatters this scan across shards and merges with
-    /// [`sort_join_candidates`], which is exactly the single-catalog
-    /// order because the per-shard candidate sets are disjoint.
+    /// The unsorted candidate set underlying
+    /// [`joinable_columns`](Self::joinable_columns): every local
+    /// join-candidate column of another table with a positive join score
+    /// against the query profile. The query profile may be *foreign*
+    /// (resident on another shard — its values are looked up by string) —
+    /// the shard router scatters this call across shards and merges with
+    /// [`sort_join_candidates`], which is exactly the single-catalog order
+    /// because the per-shard candidate sets are disjoint.
     pub fn joinable_candidates(&self, query: &DeProfile) -> Vec<(DeId, f64)> {
+        self.scored_candidates(query)
+            .into_iter()
+            .map(|(entry, score)| (entry.id, score))
+            .collect()
+    }
+
+    /// [`joinable_candidates`](Self::joinable_candidates) as a scan that
+    /// scores every column pairwise — the exact reference the indexed
+    /// path is held to.
+    pub fn joinable_candidates_brute(&self, query: &DeProfile) -> Vec<(DeId, f64)> {
         if query.kind != DeKind::Column || !query.tags.join_candidate {
             return Vec::new();
         }
@@ -124,6 +159,51 @@ impl<'a> JoinDiscovery<'a> {
             .collect()
     }
 
+    /// The indexed candidate walk, keeping each candidate's index entry
+    /// (for its table slot).
+    fn scored_candidates(&self, query: &DeProfile) -> Vec<(&'a ColumnEntry, f64)> {
+        if query.kind != DeKind::Column || !query.tags.join_candidate {
+            return Vec::new();
+        }
+        let columns = self.columns;
+        let query_table = query
+            .table_name
+            .as_deref()
+            .and_then(|name| columns.table_slot(name));
+        let admissible = |entry: &ColumnEntry| {
+            entry.join_candidate && entry.id != query.id && Some(entry.table) != query_table
+        };
+        if query.tags.numeric {
+            // Only numeric pairs score above zero for a numeric query.
+            return columns
+                .live_entries()
+                .filter(|entry| entry.numeric && admissible(entry))
+                .filter_map(|entry| {
+                    let candidate = self.profiled.profile(entry.id)?;
+                    let score = self.join_score(query, candidate);
+                    (score > 0.0).then_some((entry, score))
+                })
+                .collect();
+        }
+        // A text pair scores above zero iff the two share a value, which
+        // is exactly the set of columns the value walk reaches.
+        let mut overlap = columns.overlap_counter();
+        columns.count_overlaps(&query.distinct_values, &mut overlap);
+        let query_len = query.distinct_values.len();
+        overlap
+            .touched()
+            .filter_map(|(slot, shared)| {
+                let entry = columns.entry(slot)?;
+                if !admissible(entry) {
+                    return None;
+                }
+                let score = containment_ratio(shared, query_len)
+                    .max(containment_ratio(shared, entry.distinct));
+                Some((entry, score))
+            })
+            .collect()
+    }
+
     /// Find the `top_k` tables joinable with the given table: the best join
     /// score over any column pair, aggregated per candidate table.
     pub fn joinable_tables(&self, table_name: &str, top_k: usize) -> Vec<(String, f64)> {
@@ -135,14 +215,7 @@ impl<'a> JoinDiscovery<'a> {
             .collect();
         let best = self.joinable_table_candidates(&query_columns);
         let mut out: Vec<(String, f64)> = best.into_iter().collect();
-        // Tie-break by table name: `best` is a HashMap, so without this the
-        // order of equal-scored tables (and thus the truncated result set)
-        // would vary from run to run.
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        sort_joinable_tables(&mut out);
         out.truncate(top_k);
         out
     }
@@ -154,17 +227,34 @@ impl<'a> JoinDiscovery<'a> {
     /// order-independent, so merging per-shard maps with another max
     /// reproduces the single-catalog aggregate exactly.
     ///
-    /// Aggregates over *all* scored partners (the per-column scan is
-    /// linear anyway): the per-table best score is exact and does not
-    /// depend on `top_k`, so paginated fetches of different depths rank
-    /// tables identically.
-    pub fn joinable_table_candidates(
+    /// Aggregates over *all* scored partners: the per-table best score is
+    /// exact and does not depend on `top_k`, so paginated fetches of
+    /// different depths rank tables identically.
+    pub fn joinable_table_candidates(&self, query_columns: &[&DeProfile]) -> HashMap<String, f64> {
+        let mut best: HashMap<u32, f64> = HashMap::new();
+        for query in query_columns {
+            for (entry, score) in self.scored_candidates(query) {
+                let slot_best = best.entry(entry.table).or_insert(0.0);
+                if score > *slot_best {
+                    *slot_best = score;
+                }
+            }
+        }
+        best.into_iter()
+            .map(|(table, score)| (self.columns.table_name(table).to_string(), score))
+            .collect()
+    }
+
+    /// [`joinable_table_candidates`](Self::joinable_table_candidates) over
+    /// [`joinable_candidates_brute`](Self::joinable_candidates_brute) — the
+    /// exact reference.
+    pub fn joinable_table_candidates_brute(
         &self,
         query_columns: &[&DeProfile],
-    ) -> std::collections::HashMap<String, f64> {
-        let mut best: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
+    ) -> HashMap<String, f64> {
+        let mut best: HashMap<String, f64> = HashMap::new();
         for query in query_columns {
-            for (other, score) in self.joinable_candidates(query) {
+            for (other, score) in self.joinable_candidates_brute(query) {
                 if let Some(profile) = self.profiled.profile(other) {
                     if let Some(other_table) = &profile.table_name {
                         let entry = best.entry(other_table.clone()).or_insert(0.0);
@@ -220,13 +310,35 @@ impl<'a> JoinDiscovery<'a> {
     }
 }
 
+/// Sort `(table, score)` pairs by score descending, ties by table name —
+/// the canonical joinable-tables order, shared by the single-catalog path
+/// and the shard router's merge (the pairs come out of a `HashMap`, so
+/// without the tie-break equal-scored tables would surface in a
+/// run-dependent order).
+pub fn sort_joinable_tables(tables: &mut [(String, f64)]) {
+    tables.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.0.cmp(&b.0))
+    });
+}
+
 /// The PK-FK sweep over an explicit candidate set: the single code path
 /// shared by [`JoinDiscovery::pkfk_links_weighted`] (candidates = the local
 /// lake's columns) and the shard router (candidates = every shard's columns,
-/// gathered). The pair math is per-pair and the final sort is a total order
-/// (qualified names are unique across live tables), so the result is
-/// independent of the candidate ordering — a partitioned gather reproduces
-/// the single-catalog links bit for bit.
+/// gathered).
+///
+/// Text pairs are proposed by a transient map from PK value to the text PK
+/// candidates holding it: each FK candidate walks its values through the
+/// map, which counts its exact overlap with every PK at once. With a
+/// positive containment threshold only the PKs it shares a value with can
+/// pass; with a zero (or NaN) threshold every text PK is checked. Numeric
+/// pairs are checked exhaustively. Surviving pairs are then evaluated in
+/// (PK, FK) candidate order — the order of the pairwise scan
+/// [`pkfk_links_over_brute`] — and the final sort is a total order
+/// (qualified names are unique across live tables), so the result is bit
+/// for bit the scan's, and independent of the candidate ordering: a
+/// partitioned gather reproduces the single-catalog links.
 pub fn pkfk_links_over(
     columns: &[&DeProfile],
     config: &CmdlConfig,
@@ -234,16 +346,106 @@ pub fn pkfk_links_over(
     w_name: f64,
     w_uniqueness: f64,
 ) -> Vec<PkFkLink> {
-    let pk_candidates: Vec<&DeProfile> = columns
-        .iter()
-        .copied()
-        .filter(|p| p.tags.key_like && p.tags.join_candidate)
-        .collect();
-    let fk_candidates: Vec<&DeProfile> = columns
-        .iter()
-        .copied()
-        .filter(|p| p.tags.join_candidate)
-        .collect();
+    let (pk_candidates, fk_candidates) = pkfk_candidates(columns);
+
+    let (numeric_pks, text_pks): (Vec<u32>, Vec<u32>) =
+        (0..pk_candidates.len() as u32).partition(|&pi| pk_candidates[pi as usize].tags.numeric);
+    let mut holders: HashMap<&str, Vec<u32>> = HashMap::new();
+    for &pi in &text_pks {
+        for value in &pk_candidates[pi as usize].distinct_values {
+            holders.entry(value.as_str()).or_default().push(pi);
+        }
+    }
+    // A pair sharing no value has containment 0.0 (or the FK is empty,
+    // also 0.0), which passes the threshold only when it is not positive.
+    let disjoint_pairs_pass = passes_containment(0.0, config.pkfk_containment);
+
+    // (pk index, fk index, containment) of every pair past the threshold.
+    let mut passing: Vec<(u32, u32, f64)> = Vec::new();
+    let mut overlap = OverlapCounter::new(pk_candidates.len());
+    for (fi, fk) in fk_candidates.iter().enumerate() {
+        let fi = fi as u32;
+        let mut check = |pi: u32, containment: f64| {
+            if passes_containment(containment, config.pkfk_containment) {
+                passing.push((pi, fi, containment));
+            }
+        };
+        if fk.tags.numeric {
+            for &pi in &numeric_pks {
+                let pk = pk_candidates[pi as usize];
+                check(pi, numeric_containment(fk, pk));
+            }
+            continue;
+        }
+        for value in &fk.distinct_values {
+            if let Some(pks) = holders.get(value.as_str()) {
+                for &pi in pks {
+                    overlap.bump(pi);
+                }
+            }
+        }
+        let fk_len = fk.distinct_values.len();
+        if disjoint_pairs_pass {
+            for &pi in &text_pks {
+                check(pi, containment_ratio(overlap.get(pi), fk_len));
+            }
+        } else {
+            for (pi, shared) in overlap.touched() {
+                check(pi, containment_ratio(shared, fk_len));
+            }
+        }
+        overlap.clear();
+    }
+    passing.sort_unstable_by_key(|&(pi, fi, _)| (pi, fi));
+
+    let mut pk_names: Vec<Option<[NameFeatures; 2]>> = vec![None; pk_candidates.len()];
+    let mut fk_names: Vec<Option<[NameFeatures; 2]>> = vec![None; fk_candidates.len()];
+    let prepare = |p: &DeProfile| {
+        [
+            NameFeatures::new(&p.name),
+            NameFeatures::new(&p.qualified_name),
+        ]
+    };
+    let mut links = Vec::new();
+    let mut seen: HashSet<(DeId, DeId)> = HashSet::new();
+    for (pi, fi, containment) in passing {
+        let (pk, fk) = (pk_candidates[pi as usize], fk_candidates[fi as usize]);
+        if pk.id == fk.id || pk.table_name == fk.table_name {
+            continue;
+        }
+        let [pk_name, pk_qualified] = pk_names[pi as usize].get_or_insert_with(|| prepare(pk));
+        let [fk_name, fk_qualified] = fk_names[fi as usize].get_or_insert_with(|| prepare(fk));
+        let name_sim = pk_name
+            .similarity(fk_name)
+            .max(pk_qualified.similarity(fk_qualified));
+        if name_sim < config.pkfk_name_similarity {
+            continue;
+        }
+        if !seen.insert((pk.id, fk.id)) {
+            continue;
+        }
+        links.push(pkfk_link(
+            pk,
+            fk,
+            containment,
+            name_sim,
+            (w_containment, w_name, w_uniqueness),
+        ));
+    }
+    sort_pkfk_links(&mut links);
+    links
+}
+
+/// [`pkfk_links_over`] as a scan over every (PK, FK) candidate pair — the
+/// exact reference the indexed sweep is held to.
+pub fn pkfk_links_over_brute(
+    columns: &[&DeProfile],
+    config: &CmdlConfig,
+    w_containment: f64,
+    w_name: f64,
+    w_uniqueness: f64,
+) -> Vec<PkFkLink> {
+    let (pk_candidates, fk_candidates) = pkfk_candidates(columns);
 
     let mut links = Vec::new();
     let mut seen: HashSet<(DeId, DeId)> = HashSet::new();
@@ -256,16 +458,7 @@ pub fn pkfk_links_over(
                 continue;
             }
             let containment = if pk.tags.numeric {
-                match (&fk.numeric, &pk.numeric) {
-                    (Some(nf), Some(np)) => {
-                        if nf.range_contained_in(np) {
-                            1.0
-                        } else {
-                            numeric_overlap(nf, np)
-                        }
-                    }
-                    _ => 0.0,
-                }
+                numeric_containment(fk, pk)
             } else {
                 exact_containment(&fk.distinct_values, &pk.distinct_values)
             };
@@ -280,22 +473,79 @@ pub fn pkfk_links_over(
             if !seen.insert((pk.id, fk.id)) {
                 continue;
             }
-            links.push(PkFkLink {
-                pk: pk.id,
-                fk: fk.id,
-                pk_name: pk.qualified_name.clone(),
-                fk_name: fk.qualified_name.clone(),
-                score: w_containment * containment
-                    + w_name * name_sim
-                    + w_uniqueness * pk.uniqueness,
+            links.push(pkfk_link(
+                pk,
+                fk,
                 containment,
                 name_sim,
-                uniqueness: pk.uniqueness,
-            });
+                (w_containment, w_name, w_uniqueness),
+            ));
         }
     }
-    // Tie-break on the qualified names so equal-scored links (and thus
-    // any truncated prefix) surface in a run-independent order.
+    sort_pkfk_links(&mut links);
+    links
+}
+
+/// The PK candidates (key-like join candidates) and FK candidates (join
+/// candidates) among `columns`, in their order.
+fn pkfk_candidates<'c>(columns: &[&'c DeProfile]) -> (Vec<&'c DeProfile>, Vec<&'c DeProfile>) {
+    let pks = columns
+        .iter()
+        .copied()
+        .filter(|p| p.tags.key_like && p.tags.join_candidate)
+        .collect();
+    let fks = columns
+        .iter()
+        .copied()
+        .filter(|p| p.tags.join_candidate)
+        .collect();
+    (pks, fks)
+}
+
+/// Does a PK-FK pair's containment pass the threshold? Exactly the scan's
+/// "not below": a NaN threshold passes every pair.
+fn passes_containment(containment: f64, threshold: f64) -> bool {
+    containment.partial_cmp(&threshold) != Some(std::cmp::Ordering::Less)
+}
+
+/// The containment signal of a numeric (FK, PK) pair: 1 when the FK range
+/// lies inside the PK range, the range overlap otherwise.
+fn numeric_containment(fk: &DeProfile, pk: &DeProfile) -> f64 {
+    match (&fk.numeric, &pk.numeric) {
+        (Some(nf), Some(np)) => {
+            if nf.range_contained_in(np) {
+                1.0
+            } else {
+                numeric_overlap(nf, np)
+            }
+        }
+        _ => 0.0,
+    }
+}
+
+/// Assemble one link with its `(containment, name, uniqueness)` blend.
+fn pkfk_link(
+    pk: &DeProfile,
+    fk: &DeProfile,
+    containment: f64,
+    name_sim: f64,
+    (w_containment, w_name, w_uniqueness): (f64, f64, f64),
+) -> PkFkLink {
+    PkFkLink {
+        pk: pk.id,
+        fk: fk.id,
+        pk_name: pk.qualified_name.clone(),
+        fk_name: fk.qualified_name.clone(),
+        score: w_containment * containment + w_name * name_sim + w_uniqueness * pk.uniqueness,
+        containment,
+        name_sim,
+        uniqueness: pk.uniqueness,
+    }
+}
+
+/// Tie-break on the qualified names so equal-scored links (and thus any
+/// truncated prefix) surface in a run-independent order.
+fn sort_pkfk_links(links: &mut [PkFkLink]) {
     links.sort_by(|a, b| {
         b.score
             .partial_cmp(&a.score)
@@ -303,7 +553,6 @@ pub fn pkfk_links_over(
             .then_with(|| a.pk_name.cmp(&b.pk_name))
             .then_with(|| a.fk_name.cmp(&b.fk_name))
     });
-    links
 }
 
 /// Sort scored join candidates by score descending, ties by ascending id —
@@ -323,17 +572,18 @@ mod tests {
     use crate::profile::Profiler;
     use cmdl_datalake::synth;
 
-    fn setup() -> (ProfiledLake, CmdlConfig) {
+    fn setup() -> (ProfiledLake, ColumnIndex, CmdlConfig) {
         let config = CmdlConfig::fast();
         let profiled = Profiler::new(&config)
             .profile_lake(synth::pharma::generate(&synth::PharmaConfig::tiny()).lake);
-        (profiled, config)
+        let columns = ColumnIndex::build(&profiled);
+        (profiled, columns, config)
     }
 
     #[test]
     fn joinable_columns_find_fk_partners() {
-        let (profiled, config) = setup();
-        let discovery = JoinDiscovery::new(&profiled, &config);
+        let (profiled, columns, config) = setup();
+        let discovery = JoinDiscovery::new(&profiled, &columns, &config);
         let id = profiled.lake.column_id_by_name("Drugs", "Id").unwrap();
         let results = discovery.joinable_columns(id, 10);
         assert!(!results.is_empty());
@@ -353,8 +603,8 @@ mod tests {
 
     #[test]
     fn joinable_excludes_same_table() {
-        let (profiled, config) = setup();
-        let discovery = JoinDiscovery::new(&profiled, &config);
+        let (profiled, columns, config) = setup();
+        let discovery = JoinDiscovery::new(&profiled, &columns, &config);
         let id = profiled.lake.column_id_by_name("Drugs", "Id").unwrap();
         for (col, _) in discovery.joinable_columns(id, 50) {
             assert_ne!(
@@ -366,8 +616,8 @@ mod tests {
 
     #[test]
     fn joinable_tables_aggregates() {
-        let (profiled, config) = setup();
-        let discovery = JoinDiscovery::new(&profiled, &config);
+        let (profiled, columns, config) = setup();
+        let discovery = JoinDiscovery::new(&profiled, &columns, &config);
         let tables = discovery.joinable_tables("Drugs", 5);
         assert!(!tables.is_empty());
         let names: Vec<&str> = tables.iter().map(|(t, _)| t.as_str()).collect();
@@ -381,8 +631,8 @@ mod tests {
 
     #[test]
     fn pkfk_links_recover_schema_keys() {
-        let (profiled, config) = setup();
-        let discovery = JoinDiscovery::new(&profiled, &config);
+        let (profiled, columns, config) = setup();
+        let discovery = JoinDiscovery::new(&profiled, &columns, &config);
         let links = discovery.pkfk_links();
         assert!(!links.is_empty());
         let pairs: Vec<(String, String)> = links
@@ -402,16 +652,16 @@ mod tests {
 
     #[test]
     fn unknown_column_returns_empty() {
-        let (profiled, config) = setup();
-        let discovery = JoinDiscovery::new(&profiled, &config);
+        let (profiled, columns, config) = setup();
+        let discovery = JoinDiscovery::new(&profiled, &columns, &config);
         assert!(discovery.joinable_columns(DeId(999_999), 5).is_empty());
         assert!(discovery.joinable_tables("NoSuchTable", 5).is_empty());
     }
 
     #[test]
     fn numeric_and_text_columns_do_not_join() {
-        let (profiled, config) = setup();
-        let discovery = JoinDiscovery::new(&profiled, &config);
+        let (profiled, columns, config) = setup();
+        let discovery = JoinDiscovery::new(&profiled, &columns, &config);
         let text = profiled.lake.column_id_by_name("Drugs", "Drug").unwrap();
         let numeric = profiled
             .lake

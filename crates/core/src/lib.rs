@@ -43,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+pub mod column_index;
 pub mod config;
 pub mod discovery;
 pub mod ekg;
@@ -60,6 +61,7 @@ pub mod stats;
 pub mod training;
 pub mod union;
 
+pub use column_index::ColumnIndex;
 pub use config::{CmdlConfig, CrossModalStrategy, HardSampling, ShardPolicy, SketchScheme};
 pub use discovery::{Cmdl, DiscoveryResult, SearchMode};
 pub use ekg::{Ekg, NodeId, RelationType};

@@ -642,7 +642,8 @@ impl CatalogSnapshot {
         let pkfk_cache: PkFkCache = triples
             .into_iter()
             .map(|key @ (wc, wn, wu)| {
-                let discovery = JoinDiscovery::new(&self.profiled, &self.config);
+                let discovery =
+                    JoinDiscovery::new(&self.profiled, &self.indexes.columns, &self.config);
                 let links = discovery.pkfk_links_weighted(
                     f64::from_bits(wc),
                     f64::from_bits(wn),
@@ -781,7 +782,7 @@ impl CatalogSnapshot {
             return Err(CmdlError::UnknownTable(table.to_string()));
         }
         let from = self.profiled.lake.table_index(table);
-        let discovery = JoinDiscovery::new(&self.profiled, &self.config);
+        let discovery = JoinDiscovery::new(&self.profiled, &self.indexes.columns, &self.config);
         Ok(discovery
             .joinable_tables(table, fetch)
             .into_iter()
@@ -818,7 +819,7 @@ impl CatalogSnapshot {
                 table: table.to_string(),
                 column: column.to_string(),
             })?;
-        let discovery = JoinDiscovery::new(&self.profiled, &self.config);
+        let discovery = JoinDiscovery::new(&self.profiled, &self.indexes.columns, &self.config);
         Ok(discovery
             .joinable_columns(id, fetch)
             .into_iter()
@@ -840,7 +841,7 @@ impl CatalogSnapshot {
             return Err(CmdlError::UnknownTable(table.to_string()));
         }
         let from = self.profiled.lake.table_index(table);
-        let discovery = UnionDiscovery::new(&self.profiled, &self.config);
+        let discovery = UnionDiscovery::new(&self.profiled, &self.indexes.columns);
         Ok(discovery
             .unionable_tables(table, fetch)
             .into_iter()
@@ -892,8 +893,9 @@ impl CatalogSnapshot {
             // Clone only the fetched prefix of the batch-shared list.
             Some(shared) => shared.iter().take(fetch).cloned().collect(),
             None => {
-                let mut links = JoinDiscovery::new(&self.profiled, &self.config)
-                    .pkfk_links_weighted(w_contain, w_name, w_unique);
+                let mut links =
+                    JoinDiscovery::new(&self.profiled, &self.indexes.columns, &self.config)
+                        .pkfk_links_weighted(w_contain, w_name, w_unique);
                 links.truncate(fetch);
                 links
             }

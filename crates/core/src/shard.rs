@@ -94,7 +94,9 @@ use crate::config::{CmdlConfig, ShardPolicy};
 use crate::discovery::{Cmdl, SearchMode};
 use crate::error::CmdlError;
 use crate::indexes::{DeltaStats, IndexCatalog};
-use crate::join::{pkfk_links_over, sort_join_candidates, JoinDiscovery, PkFkLink};
+use crate::join::{
+    pkfk_links_over, sort_join_candidates, sort_joinable_tables, JoinDiscovery, PkFkLink,
+};
 use crate::profile::{DeProfile, Profiler};
 use crate::query::{
     aggregate_doc_to_table, pkfk_link_hits, probe_depth, union_breakdown, DiscoveryQuery, DocQuery,
@@ -715,6 +717,8 @@ impl ShardedSnapshot {
             total.index_sizes.solo_ann += stats.index_sizes.solo_ann;
             total.index_sizes.joint_ann += stats.index_sizes.joint_ann;
             total.index_sizes.joint_embeddings += stats.index_sizes.joint_embeddings;
+            total.index_sizes.column_values += stats.index_sizes.column_values;
+            total.index_sizes.column_postings += stats.index_sizes.column_postings;
             total.delta.content_tombstoned += stats.delta.content_tombstoned;
             total.delta.containment_delta += stats.delta.containment_delta;
             total.delta.solo_delta += stats.delta.solo_delta;
@@ -865,7 +869,7 @@ impl ShardedSnapshot {
             .shards
             .par_iter()
             .map(|shard| {
-                JoinDiscovery::new(&shard.profiled, &self.config)
+                JoinDiscovery::new(&shard.profiled, &shard.indexes.columns, &self.config)
                     .joinable_table_candidates(&query_columns)
             })
             .collect();
@@ -879,11 +883,7 @@ impl ShardedSnapshot {
             }
         }
         let mut scored: Vec<(String, f64)> = best.into_iter().collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        sort_joinable_tables(&mut scored);
         scored.truncate(fetch);
         Ok(scored
             .into_iter()
@@ -927,7 +927,8 @@ impl ShardedSnapshot {
             .shards
             .par_iter()
             .map(|shard| {
-                JoinDiscovery::new(&shard.profiled, &self.config).joinable_candidates(query)
+                JoinDiscovery::new(&shard.profiled, &shard.indexes.columns, &self.config)
+                    .joinable_candidates(query)
             })
             .collect();
         let mut merged: Vec<(DeId, f64)> = per_shard.into_iter().flatten().collect();
@@ -968,7 +969,7 @@ impl ShardedSnapshot {
             .shards
             .par_iter()
             .map(|shard| {
-                UnionDiscovery::new(&shard.profiled, &self.config)
+                UnionDiscovery::new(&shard.profiled, &shard.indexes.columns)
                     .unionable_candidates(table, &query, "ensemble")
             })
             .collect();
@@ -977,7 +978,7 @@ impl ShardedSnapshot {
         scores.truncate(fetch);
         // `signals` only reads the two profiles, so any shard's engine
         // computes the breakdown of a cross-shard pair.
-        let reference = UnionDiscovery::new(&owner.profiled, &self.config);
+        let reference = UnionDiscovery::new(&owner.profiled, &owner.indexes.columns);
         Ok(scores
             .into_iter()
             .map(|score| {

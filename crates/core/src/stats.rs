@@ -28,6 +28,10 @@ pub struct IndexSizes {
     pub joint_ann: usize,
     /// Joint embeddings installed across all elements (0 until trained).
     pub joint_embeddings: usize,
+    /// Distinct values in the column index's posting map.
+    pub column_values: usize,
+    /// Entries over all of the column index's posting lists.
+    pub column_postings: usize,
 }
 
 /// A consistent introspection summary of one catalog generation.
@@ -86,6 +90,8 @@ impl CatalogSnapshot {
                 solo_ann: self.indexes.solo_ann.len(),
                 joint_ann,
                 joint_embeddings: self.indexes.joint_embeddings.len(),
+                column_values: self.indexes.columns.num_values(),
+                column_postings: self.indexes.columns.num_postings(),
             },
             delta: self.indexes.delta_stats(),
             delta_pressure: self.indexes.delta_pressure(),
@@ -126,6 +132,12 @@ mod tests {
         assert!(!stats.joint_trained);
         assert_eq!(stats.index_sizes.content, cmdl.indexes.content.len());
         assert_eq!(stats.index_sizes.joint_ann, 0);
+        assert_eq!(
+            stats.index_sizes.column_values,
+            cmdl.indexes.columns.num_values()
+        );
+        assert!(stats.index_sizes.column_postings >= stats.index_sizes.column_values);
+        assert!(stats.index_sizes.column_values > 0);
         assert_eq!(stats.delta, crate::indexes::DeltaStats::default());
         assert_eq!(stats.delta_pressure, 0.0);
     }

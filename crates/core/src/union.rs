@@ -3,23 +3,34 @@
 //! Two tables are unionable when a one-to-one column mapping exists in which
 //! the mapped column pairs exhibit name, value-containment, numeric-range, or
 //! semantic similarity (paper Section 2.1 / 5.1). CMDL combines the four
-//! measures into an *ensemble* score per column pair first, finds candidate
-//! tables from per-column top-k searches, and then aligns each candidate's
-//! columns with the query table's columns through maximal bipartite graph
-//! matching (greedy weighted matching, as the TUS-style algorithm the paper
-//! defers to), the matched weight normalized by the larger column count
-//! giving the table-level unionability score.
+//! measures into an *ensemble* score per column pair first, keeps the pairs
+//! scoring above a floor as candidate alignments, and then aligns each
+//! candidate table's columns with the query table's columns through maximal
+//! bipartite graph matching (greedy weighted matching, as the TUS-style
+//! algorithm the paper defers to), the matched weight normalized by the
+//! larger column count giving the table-level unionability score.
+//!
+//! Every column pair is still scored — the ensemble can exceed the floor on
+//! name or embedding evidence alone, so no value index can prune it — but
+//! each pair is cheap: [`UnionDiscovery::unionable_candidates`] reads the
+//! pair's value overlap from one [`ColumnIndex`] walk per query column,
+//! compares prepared name features, and reuses each column's stored
+//! embedding self-dot. The scan keeps `column_ids` order, so the tie order
+//! inside `greedy_matching` is the pairwise scan's; that scan survives as
+//! [`UnionDiscovery::unionable_candidates_brute`], the bit-for-bit
+//! reference.
 
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
 use cmdl_datalake::DeId;
-use cmdl_index::ann::cosine_similarity;
+use cmdl_index::ann::{cosine_similarity, cosine_with_self_dots};
+use cmdl_nn::dot_f32;
 use cmdl_sketch::{exact_containment, numeric_overlap};
-use cmdl_text::strsim::name_similarity;
+use cmdl_text::strsim::{name_similarity, NameFeatures};
 
-use crate::config::CmdlConfig;
+use crate::column_index::{containment_ratio, ColumnEntry, ColumnIndex};
 use crate::profile::{DeProfile, ProfiledLake};
 
 /// The individual similarity measures combined by the unionability ensemble.
@@ -72,17 +83,24 @@ pub struct UnionScore {
     pub id_mapping: Vec<(DeId, DeId)>,
 }
 
-/// Unionability discovery over a profiled lake.
+/// A column pair must score above this to propose its table.
+const PAIR_FLOOR: f64 = 0.15;
+
+/// [`UnionDiscovery::unionable_candidates`] or its brute-force reference.
+type CandidateScorer<'a> =
+    fn(&UnionDiscovery<'a>, &str, &[(DeId, &DeProfile)], &str) -> Vec<UnionScore>;
+
+/// Unionability discovery over a profiled lake and its column index (the
+/// two must describe the same catalog generation).
 pub struct UnionDiscovery<'a> {
     profiled: &'a ProfiledLake,
-    #[allow(dead_code)]
-    config: &'a CmdlConfig,
+    columns: &'a ColumnIndex,
 }
 
 impl<'a> UnionDiscovery<'a> {
     /// Create a union-discovery engine.
-    pub fn new(profiled: &'a ProfiledLake, config: &'a CmdlConfig) -> Self {
-        Self { profiled, config }
+    pub fn new(profiled: &'a ProfiledLake, columns: &'a ColumnIndex) -> Self {
+        Self { profiled, columns }
     }
 
     /// The four unionability signals between two column profiles.
@@ -128,6 +146,30 @@ impl<'a> UnionDiscovery<'a> {
         top_k: usize,
         measure: &str,
     ) -> Vec<UnionScore> {
+        self.rank_tables(table_name, top_k, measure, Self::unionable_candidates)
+    }
+
+    /// [`unionable_tables_with`](Self::unionable_tables_with) over
+    /// [`unionable_candidates_brute`](Self::unionable_candidates_brute) —
+    /// the exact reference.
+    pub fn unionable_tables_with_brute(
+        &self,
+        table_name: &str,
+        top_k: usize,
+        measure: &str,
+    ) -> Vec<UnionScore> {
+        self.rank_tables(table_name, top_k, measure, Self::unionable_candidates_brute)
+    }
+
+    /// Score a local table's unionable candidates with `candidates` and
+    /// keep the `top_k` in canonical order.
+    fn rank_tables(
+        &self,
+        table_name: &str,
+        top_k: usize,
+        measure: &str,
+        candidates: CandidateScorer<'a>,
+    ) -> Vec<UnionScore> {
         let query: Vec<(DeId, &DeProfile)> = self
             .profiled
             .columns_of_table(table_name)
@@ -137,7 +179,7 @@ impl<'a> UnionDiscovery<'a> {
         if query.is_empty() {
             return Vec::new();
         }
-        let mut results = self.unionable_candidates(table_name, &query, measure);
+        let mut results = candidates(self, table_name, &query, measure);
         sort_union_scores(&mut results);
         results.truncate(top_k);
         results
@@ -146,20 +188,99 @@ impl<'a> UnionDiscovery<'a> {
     /// The unsorted per-candidate-table scoring underlying
     /// [`unionable_tables_with`](Self::unionable_tables_with). The query
     /// columns arrive as explicit `(id, profile)` pairs so they may be
-    /// *foreign* (resident on another shard); candidate tables are always
-    /// local. Because a candidate table's columns all live on one shard,
-    /// the per-table pair list — and therefore the tie order inside
-    /// `greedy_matching` — is identical whether the scan runs over the
-    /// whole lake or is scattered across shards and merged with
-    /// [`sort_union_scores`].
+    /// *foreign* (resident on another shard; only their values, names and
+    /// vectors are read); candidate tables are always local. Because a
+    /// candidate table's columns all live on one shard, the per-table pair
+    /// list — and therefore the tie order inside `greedy_matching` — is
+    /// identical whether the scan runs over the whole lake or is scattered
+    /// across shards and merged with [`sort_union_scores`].
     pub fn unionable_candidates(
         &self,
         query_table: &str,
         query: &[(DeId, &DeProfile)],
         measure: &str,
     ) -> Vec<UnionScore> {
-        // Candidate tables: any table owning a column with a non-trivial
-        // pairwise score against some query column.
+        let columns = self.columns;
+        let query_table_slot = columns.table_slot(query_table);
+        // Candidate columns of other tables, in `column_ids` order.
+        let candidates: Vec<(u32, &ColumnEntry, &DeProfile)> = self
+            .profiled
+            .column_ids
+            .iter()
+            .filter_map(|&id| {
+                let (slot, entry) = columns.entry_of(id)?;
+                if Some(entry.table) == query_table_slot {
+                    return None;
+                }
+                Some((slot, entry, self.profiled.profile(id)?))
+            })
+            .collect();
+
+        let mut per_table: HashMap<u32, Vec<(DeId, DeId, f64)>> = HashMap::new();
+        let mut overlap = columns.overlap_counter();
+        for &(qcol, qprofile) in query {
+            let qname = NameFeatures::new(&qprofile.name);
+            let qsolo = &qprofile.solo.content;
+            let q_self_dot = dot_f32(qsolo, qsolo);
+            let q_len = qprofile.distinct_values.len();
+            if !qprofile.tags.numeric {
+                columns.count_overlaps(&qprofile.distinct_values, &mut overlap);
+            }
+            for &(slot, entry, cprofile) in &candidates {
+                let containment = if qprofile.tags.numeric || entry.numeric {
+                    0.0
+                } else {
+                    let shared = overlap.get(slot);
+                    containment_ratio(shared, q_len).max(containment_ratio(shared, entry.distinct))
+                };
+                let signals = UnionSignals {
+                    name: qname.similarity(&entry.name),
+                    containment,
+                    numeric: match (&qprofile.numeric, &cprofile.numeric) {
+                        (Some(na), Some(nb)) => numeric_overlap(na, nb),
+                        _ => 0.0,
+                    },
+                    semantic: cosine_with_self_dots(
+                        qsolo,
+                        &cprofile.solo.content,
+                        q_self_dot,
+                        entry.solo_self_dot,
+                    )
+                    .max(0.0),
+                };
+                let score = signals.by_name(measure);
+                if score > PAIR_FLOOR {
+                    per_table
+                        .entry(entry.table)
+                        .or_default()
+                        .push((qcol, entry.id, score));
+                }
+            }
+            overlap.clear();
+        }
+
+        per_table
+            .into_iter()
+            .filter_map(|(table, pairs)| {
+                self.table_score(
+                    columns.table_name(table).to_string(),
+                    query,
+                    columns.table_columns(table),
+                    &pairs,
+                )
+            })
+            .collect()
+    }
+
+    /// [`unionable_candidates`](Self::unionable_candidates) as a scan that
+    /// scores every column pair with [`signals`](Self::signals) — the exact
+    /// reference the indexed path is held to.
+    pub fn unionable_candidates_brute(
+        &self,
+        query_table: &str,
+        query: &[(DeId, &DeProfile)],
+        measure: &str,
+    ) -> Vec<UnionScore> {
         let mut candidates: HashMap<String, Vec<(DeId, DeId, f64)>> = HashMap::new();
         for &(qcol, qprofile) in query {
             for &ccol in &self.profiled.column_ids {
@@ -173,7 +294,7 @@ impl<'a> UnionDiscovery<'a> {
                     continue;
                 }
                 let score = self.signals(qprofile, cprofile).by_name(measure);
-                if score > 0.15 {
+                if score > PAIR_FLOOR {
                     candidates
                         .entry(ctable)
                         .or_default()
@@ -181,48 +302,58 @@ impl<'a> UnionDiscovery<'a> {
                 }
             }
         }
-
-        let query_names: HashMap<DeId, &str> = query
-            .iter()
-            .map(|&(id, profile)| (id, profile.name.as_str()))
-            .collect();
         candidates
             .into_iter()
             .filter_map(|(table, pairs)| {
-                let candidate_columns = self.profiled.columns_of_table(&table);
-                let mapping = greedy_matching(&pairs);
-                if mapping.is_empty() {
-                    return None;
-                }
-                let matched_weight: f64 = mapping.iter().map(|(_, _, s)| s).sum();
-                let denom = query.len().max(candidate_columns.len()) as f64;
-                let score = (matched_weight / denom).clamp(0.0, 1.0);
-                let id_mapping: Vec<(DeId, DeId)> =
-                    mapping.iter().map(|&(q, c, _)| (q, c)).collect();
-                let named_mapping = mapping
-                    .into_iter()
-                    .map(|(q, c, s)| {
-                        (
-                            query_names
-                                .get(&q)
-                                .map(|n| n.to_string())
-                                .unwrap_or_default(),
-                            self.profiled
-                                .profile(c)
-                                .map(|p| p.name.clone())
-                                .unwrap_or_default(),
-                            s,
-                        )
-                    })
-                    .collect();
-                Some(UnionScore {
-                    table,
-                    score,
-                    mapping: named_mapping,
-                    id_mapping,
-                })
+                let candidate_columns = self.profiled.columns_of_table(&table).len();
+                self.table_score(table, query, candidate_columns, &pairs)
             })
             .collect()
+    }
+
+    /// Align one candidate table's scored pairs and normalize the matched
+    /// weight by the larger column count.
+    fn table_score(
+        &self,
+        table: String,
+        query: &[(DeId, &DeProfile)],
+        candidate_columns: usize,
+        pairs: &[(DeId, DeId, f64)],
+    ) -> Option<UnionScore> {
+        let mapping = greedy_matching(pairs);
+        if mapping.is_empty() {
+            return None;
+        }
+        let matched_weight: f64 = mapping.iter().map(|(_, _, s)| s).sum();
+        let denom = query.len().max(candidate_columns) as f64;
+        let score = (matched_weight / denom).clamp(0.0, 1.0);
+        let id_mapping: Vec<(DeId, DeId)> = mapping.iter().map(|&(q, c, _)| (q, c)).collect();
+        let query_name = |id: DeId| {
+            query
+                .iter()
+                .find(|(qid, _)| *qid == id)
+                .map(|(_, p)| p.name.clone())
+                .unwrap_or_default()
+        };
+        let named_mapping = mapping
+            .into_iter()
+            .map(|(q, c, s)| {
+                (
+                    query_name(q),
+                    self.profiled
+                        .profile(c)
+                        .map(|p| p.name.clone())
+                        .unwrap_or_default(),
+                    s,
+                )
+            })
+            .collect();
+        Some(UnionScore {
+            table,
+            score,
+            mapping: named_mapping,
+            id_mapping,
+        })
     }
 }
 
@@ -263,20 +394,21 @@ fn greedy_matching(pairs: &[(DeId, DeId, f64)]) -> Vec<(DeId, DeId, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CmdlConfig;
     use crate::profile::Profiler;
     use cmdl_datalake::synth;
 
-    fn setup() -> (ProfiledLake, CmdlConfig) {
-        let config = CmdlConfig::fast();
-        let profiled = Profiler::new(&config)
+    fn setup() -> (ProfiledLake, ColumnIndex) {
+        let profiled = Profiler::new(&CmdlConfig::fast())
             .profile_lake(synth::ukopen::generate(&synth::UkOpenConfig::tiny()).lake);
-        (profiled, config)
+        let columns = ColumnIndex::build(&profiled);
+        (profiled, columns)
     }
 
     #[test]
     fn finds_family_tables_as_unionable() {
-        let (profiled, config) = setup();
-        let discovery = UnionDiscovery::new(&profiled, &config);
+        let (profiled, columns) = setup();
+        let discovery = UnionDiscovery::new(&profiled, &columns);
         let results = discovery.unionable_tables("education_spending_0", 5);
         assert!(!results.is_empty());
         let names: Vec<&str> = results.iter().map(|r| r.table.as_str()).collect();
@@ -296,8 +428,8 @@ mod tests {
 
     #[test]
     fn mapping_is_one_to_one() {
-        let (profiled, config) = setup();
-        let discovery = UnionDiscovery::new(&profiled, &config);
+        let (profiled, columns) = setup();
+        let discovery = UnionDiscovery::new(&profiled, &columns);
         let results = discovery.unionable_tables("education_spending_0", 3);
         for r in &results {
             let lefts: std::collections::HashSet<&String> =
@@ -312,8 +444,8 @@ mod tests {
 
     #[test]
     fn single_measure_variants_work() {
-        let (profiled, config) = setup();
-        let discovery = UnionDiscovery::new(&profiled, &config);
+        let (profiled, columns) = setup();
+        let discovery = UnionDiscovery::new(&profiled, &columns);
         for measure in ["name", "containment", "numeric", "semantic", "ensemble"] {
             let results = discovery.unionable_tables_with("education_spending_0", 3, measure);
             // Name/semantic/ensemble should find something for this family;
@@ -326,8 +458,8 @@ mod tests {
 
     #[test]
     fn unknown_table_returns_empty() {
-        let (profiled, config) = setup();
-        let discovery = UnionDiscovery::new(&profiled, &config);
+        let (profiled, columns) = setup();
+        let discovery = UnionDiscovery::new(&profiled, &columns);
         assert!(discovery.unionable_tables("missing", 5).is_empty());
     }
 
@@ -347,8 +479,8 @@ mod tests {
 
     #[test]
     fn signals_in_unit_range() {
-        let (profiled, config) = setup();
-        let discovery = UnionDiscovery::new(&profiled, &config);
+        let (profiled, columns) = setup();
+        let discovery = UnionDiscovery::new(&profiled, &columns);
         let a = profiled.profile(profiled.column_ids[0]).unwrap();
         let b = profiled.profile(profiled.column_ids[1]).unwrap();
         let s = discovery.signals(a, b);

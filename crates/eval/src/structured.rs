@@ -58,7 +58,7 @@ pub fn evaluate_join(
     );
     let aurum = Aurum::new(&cmdl.profiled, &cmdl.config);
     let d3l = D3l::new(&cmdl.profiled, &cmdl.config);
-    let join = JoinDiscovery::new(&cmdl.profiled, &cmdl.config);
+    let join = JoinDiscovery::new(&cmdl.profiled, &cmdl.indexes.columns, &cmdl.config);
 
     let mut total = 0.0;
     let mut n = 0usize;
@@ -176,7 +176,7 @@ pub fn evaluate_union(
     );
     let aurum = Aurum::new(&cmdl.profiled, &cmdl.config);
     let d3l = D3l::new(&cmdl.profiled, &cmdl.config);
-    let union = UnionDiscovery::new(&cmdl.profiled, &cmdl.config);
+    let union = UnionDiscovery::new(&cmdl.profiled, &cmdl.indexes.columns);
     let max_k = ks.iter().copied().max().unwrap_or(10);
 
     let per_query: Vec<(Vec<String>, BTreeSet<String>)> = benchmark

@@ -48,12 +48,19 @@ use crate::topk::TopK;
 /// is `sqrt(|a|²·|b|²)` in `f64`, which keeps the self-similarity of a
 /// vector exactly `1.0` (callers compare against sharp thresholds).
 pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f64 {
+    cosine_with_self_dots(a, b, dot_f32(a, a), dot_f32(b, b))
+}
+
+/// [`cosine_similarity`] with the operands' self-dots (`dot(a, a)`,
+/// `dot(b, b)`) supplied by the caller — bit-identical when they were
+/// computed with the same kernel, so an index can store each vector's
+/// self-dot once.
+pub fn cosine_with_self_dots(a: &[f32], b: &[f32], aa: f32, bb: f32) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    let (na, nb) = (dot_f32(a, a), dot_f32(b, b));
-    if na == 0.0 || nb == 0.0 {
+    if aa == 0.0 || bb == 0.0 {
         0.0
     } else {
-        f64::from(dot_f32(a, b)) / (f64::from(na) * f64::from(nb)).sqrt()
+        f64::from(dot_f32(a, b)) / (f64::from(aa) * f64::from(bb)).sqrt()
     }
 }
 

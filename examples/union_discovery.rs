@@ -24,7 +24,7 @@ fn main() {
     let k = 8;
 
     // CMDL ensemble.
-    let union = UnionDiscovery::new(&cmdl.profiled, &cmdl.config);
+    let union = UnionDiscovery::new(&cmdl.profiled, &cmdl.indexes.columns);
     println!("\nCMDL (ensemble of name/containment/numeric/semantic):");
     for r in union.unionable_tables(query_table, k) {
         let hit = if truth.contains(&r.table) { "✓" } else { " " };

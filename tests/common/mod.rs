@@ -1,6 +1,23 @@
 //! Shared helpers for the workspace integration tests.
 
+// Each test binary includes this module and uses a subset of it.
+#![allow(dead_code)]
+
 use std::collections::BTreeMap;
+
+use cmdl::datalake::{DataLake, Document, Table};
+
+/// A lake containing `tables` then `documents`, in order.
+pub fn lake_of(name: &str, tables: &[Table], documents: &[Document]) -> DataLake {
+    let mut lake = DataLake::new(name);
+    for t in tables {
+        lake.add_table(t.clone());
+    }
+    for d in documents {
+        lake.add_document(d.clone());
+    }
+    lake
+}
 
 /// Assert that two ranked `(label, score)` result lists are identical modulo
 /// reordering *within* exact score ties.

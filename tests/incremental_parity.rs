@@ -18,7 +18,7 @@ mod common;
 
 use cmdl::core::{Cmdl, CmdlConfig, SearchMode};
 use cmdl::datalake::{synth, DataLake, Document, Table};
-use common::assert_result_parity;
+use common::{assert_result_parity, lake_of};
 
 fn parity_config() -> synth::PharmaConfig {
     if std::env::var("PARITY_SCALE").as_deref() == Ok("bench") {
@@ -41,18 +41,6 @@ fn full_lake() -> (DataLake, Vec<Table>, Vec<Document>) {
     let tables = lake.tables().to_vec();
     let documents = lake.documents().to_vec();
     (lake, tables, documents)
-}
-
-/// A lake containing `tables` then `documents`, in order.
-fn lake_of(name: &str, tables: &[Table], documents: &[Document]) -> DataLake {
-    let mut lake = DataLake::new(name);
-    for t in tables {
-        lake.add_table(t.clone());
-    }
-    for d in documents {
-        lake.add_document(d.clone());
-    }
-    lake
 }
 
 /// Deterministic query workload derived from the raw lake data (identical

@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use cmdl::core::{Cmdl, CmdlConfig, SearchMode};
-use cmdl::datalake::{Column, DataLake, Document, Table};
+use cmdl::datalake::{Column, Document, Table};
 use cmdl::eval::{precision_at_k, r_precision, recall_at_k};
 use cmdl::index::{InvertedIndex, ScoringFunction, TopK};
 use cmdl::nn::{triplet_loss, Matrix, TripletBatch};
@@ -238,17 +238,6 @@ fn mini_docs() -> impl Strategy<Value = Vec<Vec<String>>> {
     prop::collection::vec(prop::collection::vec("[a-z]{3,8}", 4..12), 1..4)
 }
 
-fn build_mini_lake(tables: &[Table], docs: &[Document]) -> DataLake {
-    let mut lake = DataLake::new("mini");
-    for t in tables {
-        lake.add_table(t.clone());
-    }
-    for d in docs {
-        lake.add_document(d.clone());
-    }
-    lake
-}
-
 fn mini_config() -> CmdlConfig {
     CmdlConfig {
         // Refresh the IDF cache on every mutation: with a zero staleness
@@ -308,7 +297,7 @@ proptest! {
         // Incremental: seed build, interleaved ingest, then removals.
         let config = mini_config();
         let mut incremental = Cmdl::build(
-            build_mini_lake(&tables[..table_seed], &docs[..doc_seed]),
+            common::lake_of("mini", &tables[..table_seed], &docs[..doc_seed]),
             config.clone(),
         );
         let mut pending_tables = tables[table_seed..].iter();
@@ -346,7 +335,7 @@ proptest! {
             .filter(|(i, _)| !removed_docs.contains(i))
             .map(|(_, d)| d.clone())
             .collect();
-        let batch = Cmdl::build(build_mini_lake(&surviving_tables, &surviving_docs), config);
+        let batch = Cmdl::build(common::lake_of("mini", &surviving_tables, &surviving_docs), config);
 
         prop_assert_eq!(batch.profiled.len(), incremental.profiled.len());
 
