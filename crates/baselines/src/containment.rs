@@ -13,7 +13,7 @@ use cmdl_core::CmdlConfig;
 use cmdl_sketch::{LshEnsemble, LshEnsembleConfig, MinHasher};
 use cmdl_text::BagOfWords;
 
-use crate::TableAnswer;
+use crate::{sort_table_answers, TableAnswer};
 
 /// The containment-search baseline.
 #[derive(Debug, Clone)]
@@ -77,7 +77,7 @@ impl ContainmentSearch {
             }
         }
         let mut out: Vec<TableAnswer> = tables.into_iter().collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        sort_table_answers(&mut out);
         out.truncate(top_k);
         out
     }

@@ -7,7 +7,7 @@ use cmdl_datalake::DeKind;
 use cmdl_index::{Bm25Params, InvertedIndex, ScoringFunction};
 use cmdl_text::BagOfWords;
 
-use crate::TableAnswer;
+use crate::{sort_table_answers, TableAnswer};
 
 /// The four Elastic-search variants of Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,11 +124,7 @@ impl ElasticBaseline {
             fetch *= 2;
         }
         let mut out: Vec<TableAnswer> = tables.into_iter().collect();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        sort_table_answers(&mut out);
         out.truncate(top_k);
         out
     }

@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 use cmdl_core::profile::ProfiledLake;
 use cmdl_text::strsim::jaro;
 
-use crate::TableAnswer;
+use crate::{sort_table_answers, TableAnswer};
 
 /// Entity-mention similarity metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +113,7 @@ impl EntityMatcher {
             })
             .filter(|(_, s)| *s > 0.0)
             .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        sort_table_answers(&mut scored);
         scored.truncate(top_k);
         scored
     }

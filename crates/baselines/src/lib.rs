@@ -97,7 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn union_baselines_break_score_ties_by_table_name() {
+    fn union_and_doc_to_table_baselines_break_score_ties_by_table_name() {
         let (profiled, config) = twin_lake();
         let aurum = Aurum::new(&profiled, &config);
         let d3l = D3l::new(&profiled, &config);
@@ -112,6 +112,22 @@ mod tests {
             (0..20)
                 .map(|_| d3l.unionable_tables("regions", 10))
                 .collect(),
+        );
+
+        // Doc→Table: the twins hold identical values, so they tie.
+        let containment = ContainmentSearch::build(&profiled, &config);
+        let query = cmdl_text::BagOfWords::from_tokens(["e01", "e02", "e03", "leeds", "york"]);
+        assert_stable_and_name_ordered(
+            "Containment",
+            (0..20)
+                .map(|_| containment.doc_to_table(&query, 10))
+                .collect(),
+        );
+        let entity = EntityMatcher::build(&profiled, EntityMetric::Jaccard);
+        let text = "Regions E01 and E02 report from Leeds";
+        assert_stable_and_name_ordered(
+            "Entity",
+            (0..20).map(|_| entity.doc_to_table(text, 10)).collect(),
         );
     }
 }

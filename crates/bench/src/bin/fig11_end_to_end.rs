@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use cmdl_bench::{build_system, emit, pharma_lake};
-use cmdl_core::SearchMode;
+use cmdl_core::{Hit, QueryBuilder, SearchMode};
 use cmdl_eval::{ExperimentReport, MethodResult};
 
 fn main() {
@@ -19,6 +19,11 @@ fn main() {
     let mut cmdl = build_system(synth.lake);
     cmdl.train_joint(None);
     let k = 3usize;
+    let run = |query: QueryBuilder| -> Vec<Hit> {
+        cmdl.execute(&query.top_k(k).build())
+            .map(|response| response.hits)
+            .unwrap_or_default()
+    };
 
     // Simulated analyst investigation minutes per step (paper: 4.6, 1.7, 7.8,
     // 5.3, 8.5 for K=3).
@@ -42,7 +47,7 @@ fn main() {
         .map(|c| c.values[0].as_text())
         .unwrap_or_else(|| "synthase".to_string());
     let start = Instant::now();
-    let docs = cmdl.content_search(&enzyme, SearchMode::Text, k);
+    let docs = run(QueryBuilder::keyword(&enzyme).mode(SearchMode::Text));
     let op1 = start.elapsed();
 
     // Op2: Doc→Table for the first returned document.
@@ -52,7 +57,7 @@ fn main() {
         .and_then(|id| cmdl.profiled.lake.document_index(id))
         .unwrap_or(0);
     let start = Instant::now();
-    let tables_1 = cmdl.cross_modal_search(doc_idx, k).unwrap_or_default();
+    let tables_1 = run(QueryBuilder::cross_modal_doc(doc_idx));
     let op2 = start.elapsed();
 
     // Op3: Doc→Table for another returned document.
@@ -62,7 +67,7 @@ fn main() {
         .and_then(|id| cmdl.profiled.lake.document_index(id))
         .unwrap_or(doc_idx);
     let start = Instant::now();
-    let tables_2 = cmdl.cross_modal_search(doc_idx_2, k).unwrap_or_default();
+    let tables_2 = run(QueryBuilder::cross_modal_doc(doc_idx_2));
     let op3 = start.elapsed();
 
     // Op4: joinable tables for a table selected from the Doc→Table output.
@@ -72,7 +77,7 @@ fn main() {
         .and_then(|r| r.table.clone())
         .unwrap_or_else(|| "Drugs".to_string());
     let start = Instant::now();
-    let joinable = cmdl.joinable(&selected, k).unwrap_or_default();
+    let joinable = run(QueryBuilder::joinable(&selected));
     let op4 = start.elapsed();
 
     // Op5: unionable tables for a table selected from the join output.
@@ -81,7 +86,7 @@ fn main() {
         .and_then(|r| r.table.clone())
         .unwrap_or(selected.clone());
     let start = Instant::now();
-    let _unionable = cmdl.unionable(&selected_2, k).unwrap_or_default();
+    let _unionable = run(QueryBuilder::unionable(&selected_2));
     let op5 = start.elapsed();
 
     let ops = [

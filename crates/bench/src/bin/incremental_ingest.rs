@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 use cmdl_bench::{bench_config, emit, pharma_lake};
-use cmdl_core::{Cmdl, SearchMode};
+use cmdl_core::{Cmdl, QueryBuilder, SearchMode};
 use cmdl_datalake::{DataLake, Document, Table};
 use cmdl_eval::{ExperimentReport, MethodResult};
 
@@ -71,8 +71,13 @@ fn main() {
     let run_queries = |system: &Cmdl, query_time: &mut Duration, queries_run: &mut usize| {
         let start = Instant::now();
         for q in &queries {
-            let _ = system.content_search(q, SearchMode::Tables, 10);
-            let _ = system.cross_modal_search_text(q, 5);
+            let _ = system.execute(
+                &QueryBuilder::keyword(q)
+                    .mode(SearchMode::Tables)
+                    .top_k(10)
+                    .build(),
+            );
+            let _ = system.execute(&QueryBuilder::cross_modal_text(q).top_k(5).build());
         }
         *query_time += start.elapsed();
         *queries_run += 2 * queries.len();

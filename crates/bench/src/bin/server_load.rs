@@ -39,7 +39,8 @@ use cmdl_eval::{ExperimentReport, MethodResult};
 use cmdl_server::reactor::cache::{CacheConfig, CacheOutcome, ResultCache};
 use cmdl_server::{CmdlService, ServiceRequest};
 
-/// The mixed discovery workload (same shape as the query_api bench).
+/// The mixed discovery workload: keyword, cross-modal, join, union and
+/// PK-FK queries.
 fn workload(snapshot: &cmdl_core::CatalogSnapshot) -> Vec<DiscoveryQuery> {
     let lake = &snapshot.profiled.lake;
     let mut queries = Vec::new();

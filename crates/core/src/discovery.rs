@@ -3,26 +3,17 @@
 //! [`Cmdl`] is the system façade: it owns the profiled lake, the index
 //! catalog, the (optionally trained) joint model, and the EKG. Discovery
 //! runs through the unified [`DiscoveryQuery`] API: build a query with
-//! [`QueryBuilder`](crate::query::QueryBuilder) and
-//! run it with [`execute`](Cmdl::execute) (or batch it with
-//! [`execute_many`](Cmdl::execute_many)); every kind returns the same
-//! [`QueryResponse`] envelope with per-signal
-//! score provenance.
+//! [`QueryBuilder`] and run it with [`execute`](Cmdl::execute) (or batch it
+//! with [`execute_many`](Cmdl::execute_many)); every kind returns the same
+//! [`QueryResponse`] envelope with per-signal score provenance.
 //!
-//! The SRQL-style per-kind methods are kept as thin shims over that path:
-//!
-//! * [`content_search`](Cmdl::content_search) — keyword search over either
-//!   modality (Q1 in the motivating example);
-//! * [`cross_modal_search`](Cmdl::cross_modal_search) /
-//!   [`cross_modal_search_text`](Cmdl::cross_modal_search_text) — Doc→Table
-//!   discovery (Q2/Q3);
-//! * [`joinable`](Cmdl::joinable) and [`pkfk`](Cmdl::pkfk) — Table-J-Table
-//!   discovery (Q4);
-//! * [`unionable`](Cmdl::unionable) — Table-U-Table discovery (Q5).
-//!
-//! Results are returned as [`DiscoveryResult`] sets carrying scores, so they
-//! can be chained: the output of one primitive can be fed as the input of
-//! the next, exactly like the pipeline of Figure 1.
+//! The paper's primitives are the [`DiscoveryQuery`] kinds: `Keyword` (Q1
+//! in the motivating example), `CrossModalDoc` / `CrossModalText` /
+//! `DocToTable` (Doc→Table, Q2/Q3), `JoinableTable` / `JoinableColumn` /
+//! `PkFk` (Table-J-Table, Q4) and `Unionable` (Table-U-Table, Q5). Every
+//! hit names its element or table and carries its score, so results chain:
+//! the output of one primitive feeds the input of the next, exactly like
+//! the pipeline of Figure 1.
 //!
 //! ## Incremental ingestion and snapshot isolation
 //!
@@ -54,19 +45,17 @@ use crate::config::CmdlConfig;
 use crate::ekg::{Ekg, NodeId, RelationType};
 use crate::error::CmdlError;
 use crate::indexes::IndexCatalog;
-use crate::join::PkFkLink;
 use crate::joint::{JointModel, JointTrainer, JointTrainingReport};
 use crate::persist::{
     decode_frames, decode_profiled, encode_profiled, load_segment, Io, LoadedSegment, PersistError,
     PersistHandle, RecoveryReport, Wal, WalRecord,
 };
 use crate::profile::{ElementData, ProfiledLake, Profiler};
-use crate::query::{DiscoveryQuery, DocQuery, QueryResponse};
+use crate::query::{DiscoveryQuery, Hit, QueryBuilder, QueryResponse};
 use crate::snapshot::CatalogSnapshot;
 use crate::training::{TrainingDataset, TrainingDatasetGenerator, TrainingGenerationReport};
-use crate::union::UnionScore;
 
-/// The search scope of [`Cmdl::content_search`].
+/// The search scope of a [`DiscoveryQuery::Keyword`] query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SearchMode {
     /// Search only the text documents.
@@ -75,21 +64,6 @@ pub enum SearchMode {
     Tables,
     /// Search both modalities.
     All,
-}
-
-/// One discovery result: an element (or table) with its score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DiscoveryResult {
-    /// The matched element id (column or document), if the result is
-    /// element-granular.
-    pub element: Option<DeId>,
-    /// The matched table name, if the result is table-granular.
-    pub table: Option<String>,
-    /// A human-readable label (qualified column name, document title, or
-    /// table name).
-    pub label: String,
-    /// The relevance score.
-    pub score: f64,
 }
 
 /// The CMDL system.
@@ -724,88 +698,6 @@ impl Cmdl {
         self.snapshot().execute_many(queries)
     }
 
-    /// Keyword search (Q1): find the `top_k` elements matching the query text
-    /// in the requested scope. Legacy shim over [`execute`](Cmdl::execute).
-    pub fn content_search(
-        &self,
-        query: &str,
-        mode: SearchMode,
-        top_k: usize,
-    ) -> Vec<DiscoveryResult> {
-        self.snapshot().content_search(query, mode, top_k)
-    }
-
-    /// Cross-modal Doc→Table discovery (Q2/Q3) for a document already in the
-    /// lake, using the configured strategy (joint embeddings when trained,
-    /// otherwise solo embeddings). Legacy shim over
-    /// [`execute`](Cmdl::execute).
-    pub fn cross_modal_search(
-        &self,
-        document: usize,
-        top_k: usize,
-    ) -> Result<Vec<DiscoveryResult>, CmdlError> {
-        self.snapshot().cross_modal_search(document, top_k)
-    }
-
-    /// Cross-modal Doc→Table discovery for ad-hoc query text (e.g. a
-    /// highlighted sentence, as in Figure 1). Legacy shim over
-    /// [`execute`](Cmdl::execute).
-    pub fn cross_modal_search_text(
-        &self,
-        text: &str,
-        top_k: usize,
-    ) -> Result<Vec<DiscoveryResult>, CmdlError> {
-        self.snapshot().cross_modal_search_text(text, top_k)
-    }
-
-    /// Doc→Table discovery with an explicit strategy (used by the Figure 6
-    /// comparison of CMDL variants). Takes an opaque [`DocQuery`] — plain
-    /// text or a lake document — instead of internal sketch types. Legacy
-    /// shim over [`execute`](Cmdl::execute).
-    pub fn doc_to_table_search(
-        &self,
-        query: &DocQuery,
-        strategy: crate::config::CrossModalStrategy,
-        top_k: usize,
-    ) -> Result<Vec<DiscoveryResult>, CmdlError> {
-        self.snapshot().doc_to_table_search(query, strategy, top_k)
-    }
-
-    /// Table-level joinability discovery (Q4). Legacy shim over
-    /// [`execute`](Cmdl::execute).
-    pub fn joinable(&self, table: &str, top_k: usize) -> Result<Vec<DiscoveryResult>, CmdlError> {
-        self.snapshot().joinable(table, top_k)
-    }
-
-    /// Column-level joinability discovery. Legacy shim over
-    /// [`execute`](Cmdl::execute).
-    pub fn joinable_columns(
-        &self,
-        table: &str,
-        column: &str,
-        top_k: usize,
-    ) -> Result<Vec<DiscoveryResult>, CmdlError> {
-        self.snapshot().joinable_columns(table, column, top_k)
-    }
-
-    /// PK-FK discovery over the whole lake (every link, ranked). Legacy shim
-    /// over [`execute`](Cmdl::execute).
-    pub fn pkfk(&self) -> Result<Vec<PkFkLink>, CmdlError> {
-        self.snapshot().pkfk()
-    }
-
-    /// PK-FK discovery bounded to the `top_k` strongest links at or above
-    /// `min_score`. Legacy shim over [`execute`](Cmdl::execute).
-    pub fn pkfk_top(&self, top_k: usize, min_score: f64) -> Result<Vec<PkFkLink>, CmdlError> {
-        self.snapshot().pkfk_top(top_k, min_score)
-    }
-
-    /// Unionable-table discovery (Q5). Legacy shim over
-    /// [`execute`](Cmdl::execute).
-    pub fn unionable(&self, table: &str, top_k: usize) -> Result<Vec<UnionScore>, CmdlError> {
-        self.snapshot().unionable(table, top_k)
-    }
-
     // ------------------------------------------------------------------
     // Incremental ingestion
     // ------------------------------------------------------------------
@@ -1176,28 +1068,39 @@ impl Cmdl {
         // one mutation (so the snapshot's Arc is released before the
         // copy-on-write borrow of the EKG).
         let snap = self.snapshot();
+        // A failed query (unknown reference, `top_k == 0`) adds no edges.
+        let hits = |query: QueryBuilder| {
+            snap.execute(&query.build())
+                .map(|response| response.hits)
+                .unwrap_or_default()
+        };
+        let table_index = |hit: &Hit| {
+            hit.table
+                .as_deref()
+                .and_then(|t| snap.profiled.lake.table_index(t))
+        };
         let mut edges: Vec<(NodeId, NodeId, RelationType, f64)> = Vec::new();
         // Doc→Table edges.
         for &doc_id in &snap.profiled.doc_ids {
-            if let Some(idx) = snap.profiled.lake.document_index(doc_id) {
-                if let Ok(results) = snap.cross_modal_search(idx, top_k) {
-                    for r in results {
-                        if let Some(table) = &r.table {
-                            if let Some(t_idx) = snap.profiled.lake.table_index(table) {
-                                edges.push((
-                                    NodeId::De(doc_id),
-                                    NodeId::Table(t_idx),
-                                    RelationType::DocToTable,
-                                    r.score,
-                                ));
-                            }
-                        }
-                    }
+            let Some(idx) = snap.profiled.lake.document_index(doc_id) else {
+                continue;
+            };
+            for hit in hits(QueryBuilder::cross_modal_doc(idx).top_k(top_k)) {
+                if let Some(t_idx) = table_index(&hit) {
+                    edges.push((
+                        NodeId::De(doc_id),
+                        NodeId::Table(t_idx),
+                        RelationType::DocToTable,
+                        hit.score,
+                    ));
                 }
             }
         }
-        // PK-FK edges.
-        for link in snap.pkfk().unwrap_or_default() {
+        // PK-FK edges: every link, whatever `top_k`.
+        for link in hits(QueryBuilder::pkfk().top_k(usize::MAX))
+            .into_iter()
+            .filter_map(|hit| hit.pkfk)
+        {
             edges.push((
                 NodeId::De(link.pk),
                 NodeId::De(link.fk),
@@ -1219,32 +1122,27 @@ impl Cmdl {
             let Some(from) = snap.profiled.lake.table_index(name) else {
                 continue;
             };
-            if let Ok(joins) = snap.joinable(name, top_k) {
-                for j in joins {
-                    if let Some(to) = j
-                        .table
-                        .as_deref()
-                        .and_then(|t| snap.profiled.lake.table_index(t))
-                    {
-                        edges.push((
-                            NodeId::Table(from),
-                            NodeId::Table(to),
-                            RelationType::Joinable,
-                            j.score,
-                        ));
-                    }
+            for hit in hits(QueryBuilder::joinable(name).top_k(top_k)) {
+                if let Some(to) = table_index(&hit) {
+                    edges.push((
+                        NodeId::Table(from),
+                        NodeId::Table(to),
+                        RelationType::Joinable,
+                        hit.score,
+                    ));
                 }
             }
-            if let Ok(unions) = snap.unionable(name, top_k) {
-                for u in unions {
-                    if let Some(to) = snap.profiled.lake.table_index(&u.table) {
-                        edges.push((
-                            NodeId::Table(from),
-                            NodeId::Table(to),
-                            RelationType::Unionable,
-                            u.score,
-                        ));
-                    }
+            for union in hits(QueryBuilder::unionable(name).top_k(top_k))
+                .into_iter()
+                .filter_map(|hit| hit.union)
+            {
+                if let Some(to) = snap.profiled.lake.table_index(&union.table) {
+                    edges.push((
+                        NodeId::Table(from),
+                        NodeId::Table(to),
+                        RelationType::Unionable,
+                        union.score,
+                    ));
                 }
             }
         }
@@ -1297,6 +1195,15 @@ mod tests {
         Cmdl::build(lake, CmdlConfig::fast())
     }
 
+    /// Execute a query against the current generation and keep the hits.
+    fn hits(cmdl: &Cmdl, query: QueryBuilder) -> Result<Vec<Hit>, CmdlError> {
+        cmdl.execute(&query.build()).map(|response| response.hits)
+    }
+
+    fn keyword(cmdl: &Cmdl, text: &str, mode: SearchMode, top_k: usize) -> Vec<Hit> {
+        hits(cmdl, QueryBuilder::keyword(text).mode(mode).top_k(top_k)).unwrap()
+    }
+
     #[test]
     fn build_profiles_and_indexes() {
         let cmdl = system();
@@ -1318,8 +1225,8 @@ mod tests {
             .unwrap()
             .values[0]
             .as_text();
-        let docs = cmdl.content_search(&drug, SearchMode::Text, 5);
-        let cols = cmdl.content_search(&drug, SearchMode::Tables, 5);
+        let docs = keyword(&cmdl, &drug, SearchMode::Text, 5);
+        let cols = keyword(&cmdl, &drug, SearchMode::Tables, 5);
         assert!(docs.iter().all(|r| matches!(
             cmdl.profiled.profile(r.element.unwrap()).unwrap().kind,
             DeKind::Document
@@ -1334,7 +1241,7 @@ mod tests {
     #[test]
     fn cross_modal_search_solo_finds_entity_tables() {
         let cmdl = system();
-        let results = cmdl.cross_modal_search(0, 4).unwrap();
+        let results = hits(&cmdl, QueryBuilder::cross_modal_doc(0).top_k(4)).unwrap();
         assert!(!results.is_empty());
         let tables: Vec<&str> = results.iter().filter_map(|r| r.table.as_deref()).collect();
         assert!(
@@ -1351,7 +1258,7 @@ mod tests {
     fn cross_modal_unknown_document_errors() {
         let cmdl = system();
         assert!(matches!(
-            cmdl.cross_modal_search(10_000, 3),
+            hits(&cmdl, QueryBuilder::cross_modal_doc(10_000).top_k(3)),
             Err(CmdlError::UnknownDocument(_))
         ));
     }
@@ -1365,33 +1272,42 @@ mod tests {
         assert!(cmdl.indexes.joint_ann.is_some());
         assert!(!cmdl.training_dataset.as_ref().unwrap().is_empty());
         // Cross-modal search now uses the joint space without breaking.
-        let results = cmdl.cross_modal_search(0, 3).unwrap();
+        let results = hits(&cmdl, QueryBuilder::cross_modal_doc(0).top_k(3)).unwrap();
         assert!(!results.is_empty());
     }
 
     #[test]
     fn joinable_and_pkfk_and_unionable() {
         let cmdl = system();
-        let joins = cmdl.joinable("Drugs", 3).unwrap();
+        let joins = hits(&cmdl, QueryBuilder::joinable("Drugs").top_k(3)).unwrap();
         assert!(!joins.is_empty());
-        assert!(cmdl.joinable("NoSuch", 3).is_err());
+        assert!(hits(&cmdl, QueryBuilder::joinable("NoSuch").top_k(3)).is_err());
 
-        let cols = cmdl.joinable_columns("Drugs", "Id", 5).unwrap();
+        let cols = hits(&cmdl, QueryBuilder::joinable_column("Drugs", "Id").top_k(5)).unwrap();
         assert!(!cols.is_empty());
-        assert!(cmdl.joinable_columns("Drugs", "NoCol", 5).is_err());
+        assert!(hits(
+            &cmdl,
+            QueryBuilder::joinable_column("Drugs", "NoCol").top_k(5)
+        )
+        .is_err());
 
-        let links = cmdl.pkfk().unwrap();
+        let links = hits(&cmdl, QueryBuilder::pkfk().top_k(usize::MAX)).unwrap();
         assert!(!links.is_empty());
         // Bounded PK-FK discovery: a prefix of the full ranking, thresholded.
-        let top = cmdl.pkfk_top(1, 0.0).unwrap();
+        let top = hits(&cmdl, QueryBuilder::pkfk().top_k(1)).unwrap();
         assert_eq!(top.len(), 1);
         assert_eq!(top[0], links[0]);
-        assert!(cmdl.pkfk_top(usize::MAX, 2.0).unwrap().is_empty());
+        assert!(
+            hits(&cmdl, QueryBuilder::pkfk().top_k(usize::MAX).min_score(2.0))
+                .unwrap()
+                .is_empty()
+        );
 
-        let unions = cmdl.unionable("Drugs", 3).unwrap();
+        let unions = hits(&cmdl, QueryBuilder::unionable("Drugs").top_k(3)).unwrap();
         // Projections of Drugs exist in the synthetic lake.
         assert!(unions
             .iter()
+            .filter_map(|hit| hit.union.as_ref())
             .any(|u| u.table.contains("proj") || !u.table.is_empty()));
     }
 
@@ -1436,7 +1352,7 @@ mod tests {
         assert!(cmdl.profiled.lake.table("Trial_Sites").is_some());
         assert_eq!(cmdl.profiled.lake.tables()[idx].name, "Trial_Sites");
         // The new columns are discoverable right away.
-        let hits = cmdl.content_search("Lyon Institute", SearchMode::Tables, 5);
+        let hits = keyword(&cmdl, "Lyon Institute", SearchMode::Tables, 5);
         assert!(
             hits.iter()
                 .any(|r| r.table.as_deref() == Some("Trial_Sites")),
@@ -1461,7 +1377,7 @@ mod tests {
         let id = cmdl.profiled.lake.document_id(idx).unwrap();
         let profile = cmdl.profiled.profile(id).unwrap();
         assert!(profile.raw_content.is_some());
-        let hits = cmdl.content_search("febuxostat xanthine", SearchMode::Text, 5);
+        let hits = keyword(&cmdl, "febuxostat xanthine", SearchMode::Text, 5);
         assert!(
             hits.iter().any(|r| r.element == Some(id)),
             "new document must be searchable, got {hits:?}"
@@ -1478,8 +1394,8 @@ mod tests {
         let removed = cmdl.remove_table("Enzymes").unwrap();
         assert!(removed > 0);
         assert!(cmdl.profiled.lake.table("Enzymes").is_none());
-        assert!(cmdl.joinable("Enzymes", 3).is_err());
-        for r in cmdl.content_search("enzyme", SearchMode::Tables, 20) {
+        assert!(hits(&cmdl, QueryBuilder::joinable("Enzymes").top_k(3)).is_err());
+        for r in keyword(&cmdl, "enzyme", SearchMode::Tables, 20) {
             assert_ne!(r.table.as_deref(), Some("Enzymes"));
         }
 
@@ -1491,7 +1407,7 @@ mod tests {
         ));
         assert!(cmdl.profiled.profile(doc0).is_none());
         assert!(!cmdl.profiled.doc_ids.contains(&doc0));
-        for r in cmdl.content_search("drug", SearchMode::Text, 50) {
+        for r in keyword(&cmdl, "drug", SearchMode::Text, 50) {
             assert_ne!(r.element, Some(doc0));
         }
         // Compaction folds everything back and keeps queries working.
@@ -1500,7 +1416,7 @@ mod tests {
             cmdl.indexes.delta_stats(),
             crate::indexes::DeltaStats::default()
         );
-        assert!(!cmdl.content_search("drug", SearchMode::All, 5).is_empty());
+        assert!(!keyword(&cmdl, "drug", SearchMode::All, 5).is_empty());
     }
 
     #[test]
@@ -1517,8 +1433,8 @@ mod tests {
         .unwrap();
         // The dead slot must not shadow the live replacement anywhere.
         assert!(cmdl.profiled.lake.table("Dosages").is_some());
-        assert!(cmdl.joinable("Dosages", 3).is_ok());
-        assert!(cmdl.unionable("Dosages", 3).is_ok());
+        assert!(hits(&cmdl, QueryBuilder::joinable("Dosages").top_k(3)).is_ok());
+        assert!(hits(&cmdl, QueryBuilder::unionable("Dosages").top_k(3)).is_ok());
         // materialize_ekg walks every live table name; it must not panic on
         // the reused name.
         cmdl.materialize_ekg(2);
@@ -1528,7 +1444,8 @@ mod tests {
     fn snapshot_isolated_from_writer() {
         let mut cmdl = system();
         let snap = cmdl.snapshot();
-        let before = snap.content_search("drug", SearchMode::All, 10);
+        let query = QueryBuilder::keyword("drug").top_k(10).build();
+        let before = snap.execute(&query).unwrap().hits;
         let tables_before = snap.profiled.lake.num_tables();
 
         cmdl.ingest_table(cmdl_datalake::Table::new(
@@ -1546,7 +1463,7 @@ mod tests {
         assert_eq!(snap.profiled.lake.num_tables(), tables_before);
         assert!(snap.profiled.lake.table("Dosages").is_some());
         assert!(snap.profiled.lake.table("Drug_Recalls").is_none());
-        assert_eq!(snap.content_search("drug", SearchMode::All, 10), before);
+        assert_eq!(snap.execute(&query).unwrap().hits, before);
         // The writer sees the new generation.
         assert!(cmdl.generation() > snap.generation);
         assert!(cmdl.profiled.lake.table("Drug_Recalls").is_some());
@@ -1558,8 +1475,10 @@ mod tests {
         let mut cmdl = system();
         let snap = cmdl.snapshot();
         let reader = std::thread::spawn(move || {
-            let hits = snap.content_search("drug", SearchMode::All, 5);
-            (snap.generation, hits.len())
+            let response = snap
+                .execute(&QueryBuilder::keyword("drug").top_k(5).build())
+                .unwrap();
+            (snap.generation, response.hits.len())
         });
         cmdl.ingest_document(cmdl_datalake::Document::new(
             "note",
@@ -1587,9 +1506,10 @@ mod tests {
         .unwrap();
         assert!(cmdl.indexes.joint_embeddings.len() > joint_before);
         // Cross-modal search still works over the grown joint space.
-        assert!(!cmdl.cross_modal_search(0, 3).unwrap().is_empty());
+        let cross_modal = QueryBuilder::cross_modal_doc(0).top_k(3);
+        assert!(!hits(&cmdl, cross_modal.clone()).unwrap().is_empty());
         cmdl.compact();
-        assert!(!cmdl.cross_modal_search(0, 3).unwrap().is_empty());
+        assert!(!hits(&cmdl, cross_modal).unwrap().is_empty());
     }
 
     #[test]
@@ -1600,7 +1520,16 @@ mod tests {
         let after = cmdl.ekg().num_edges();
         assert!(after > before);
         let counts = cmdl.ekg().edge_counts_by_relation();
-        assert!(counts.contains_key(&RelationType::DocToTable));
-        assert!(counts.contains_key(&RelationType::PkFk));
+        for relation in [
+            RelationType::DocToTable,
+            RelationType::PkFk,
+            RelationType::Joinable,
+            RelationType::Unionable,
+        ] {
+            assert!(
+                counts.contains_key(&relation),
+                "no {relation:?} edges materialized: {counts:?}"
+            );
+        }
     }
 }

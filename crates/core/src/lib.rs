@@ -63,7 +63,7 @@ pub mod union;
 
 pub use column_index::ColumnIndex;
 pub use config::{CmdlConfig, CrossModalStrategy, HardSampling, ShardPolicy, SketchScheme};
-pub use discovery::{Cmdl, DiscoveryResult, SearchMode};
+pub use discovery::{Cmdl, SearchMode};
 pub use ekg::{Ekg, NodeId, RelationType};
 pub use error::{CmdlError, ErrorCode};
 pub use indexes::{DeltaStats, IndexCatalog};

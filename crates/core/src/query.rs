@@ -66,7 +66,7 @@ use cmdl_index::ScoringFunction;
 use rayon::prelude::*;
 
 use crate::config::CrossModalStrategy;
-use crate::discovery::{DiscoveryResult, SearchMode};
+use crate::discovery::SearchMode;
 use crate::ekg::{NodeId, RelationType};
 use crate::error::CmdlError;
 use crate::join::{JoinDiscovery, PkFkLink};
@@ -476,18 +476,6 @@ pub struct Hit {
     pub union: Option<UnionScore>,
 }
 
-impl Hit {
-    /// Strip the provenance down to the legacy [`DiscoveryResult`] shape.
-    pub fn into_discovery_result(self) -> DiscoveryResult {
-        DiscoveryResult {
-            element: self.element,
-            table: self.table,
-            label: self.label,
-            score: self.score,
-        }
-    }
-}
-
 /// The unified response envelope of [`CatalogSnapshot::execute`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryResponse {
@@ -504,16 +492,6 @@ pub struct QueryResponse {
     pub elapsed_micros: u64,
 }
 
-impl QueryResponse {
-    /// Strip the envelope down to legacy [`DiscoveryResult`]s.
-    pub fn into_results(self) -> Vec<DiscoveryResult> {
-        self.hits
-            .into_iter()
-            .map(Hit::into_discovery_result)
-            .collect()
-    }
-}
-
 /// Ranked PK-FK link lists shared across a batch, keyed by the resolved
 /// weight triple (as bits, so the key is `Eq`).
 type PkFkCache = HashMap<(u64, u64, u64), Arc<Vec<PkFkLink>>>;
@@ -522,7 +500,7 @@ impl CatalogSnapshot {
     /// Execute one typed [`DiscoveryQuery`] against this pinned generation.
     ///
     /// Every query kind — Q1 keyword through PK-FK — runs through this one
-    /// entry point; the legacy per-kind methods are thin shims over it.
+    /// entry point.
     pub fn execute(&self, query: &DiscoveryQuery) -> Result<QueryResponse, CmdlError> {
         self.execute_cached(query, None)
     }
@@ -686,14 +664,14 @@ impl CatalogSnapshot {
         }
     }
 
-    /// Wrap an element hit with its label and table.
+    /// Wrap an element hit with its label (the qualified name) and table.
     pub(crate) fn element_hit(&self, id: DeId, score: f64, breakdown: ScoreBreakdown) -> Hit {
-        let result = self.element_result(id, score);
+        let profile = self.profiled.profile(id);
         Hit {
-            element: result.element,
-            table: result.table,
-            label: result.label,
-            score: result.score,
+            element: Some(id),
+            table: profile.and_then(|p| p.table_name.clone()),
+            label: profile.map_or_else(|| format!("de-{}", id.raw()), |p| p.qualified_name.clone()),
+            score,
             breakdown,
             pkfk: None,
             union: None,

@@ -6,7 +6,7 @@
 
 use super::*;
 use crate::config::CmdlConfig;
-use crate::discovery::SearchMode;
+use crate::query::QueryBuilder;
 use cmdl_datalake::{synth, Column, Document, Table};
 
 fn writer() -> Cmdl {
@@ -79,11 +79,12 @@ fn assert_parity(writer: &Cmdl, replica: &Replica) {
     let theirs = replica.snapshot();
     assert_eq!(ours.generation, theirs.generation, "generation parity");
     assert_eq!(ours.stats(), theirs.stats(), "stats parity");
-    for query in ["alpha", "beta batch", "enzyme", "inhibitor"] {
+    for text in ["alpha", "beta batch", "enzyme", "inhibitor"] {
+        let query = QueryBuilder::keyword(text).top_k(10).build();
         assert_eq!(
-            ours.content_search(query, SearchMode::All, 10),
-            theirs.content_search(query, SearchMode::All, 10),
-            "content search parity for {query:?}"
+            ours.execute(&query).unwrap().hits,
+            theirs.execute(&query).unwrap().hits,
+            "content search parity for {text:?}"
         );
     }
 }

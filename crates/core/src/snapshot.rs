@@ -10,27 +10,18 @@
 //!
 //! The snapshot is the single query boundary of the system: every discovery
 //! query executes through [`execute`](CatalogSnapshot::execute) (defined in
-//! [`crate::query`]) against a pinned generation. The per-kind methods on
-//! this type are legacy-shaped shims over that unified path, kept so
-//! existing call sites read naturally; they are parity-tested against
-//! `execute` and return exactly its hits.
+//! [`crate::query`]) or [`execute_many`](CatalogSnapshot::execute_many)
+//! against a pinned generation.
 //!
 //! [`Cmdl`]: crate::discovery::Cmdl
 
 use std::sync::Arc;
 
-use cmdl_datalake::DeId;
-
-use crate::config::{CmdlConfig, CrossModalStrategy};
-use crate::discovery::{DiscoveryResult, SearchMode};
+use crate::config::CmdlConfig;
 use crate::ekg::Ekg;
-use crate::error::CmdlError;
 use crate::indexes::IndexCatalog;
-use crate::join::PkFkLink;
 use crate::joint::JointModel;
 use crate::profile::{ProfiledLake, Profiler};
-use crate::query::{DocQuery, QueryBuilder, QueryResponse};
-use crate::union::UnionScore;
 
 /// A consistent, immutable view of one catalog generation.
 #[derive(Clone)]
@@ -51,205 +42,13 @@ pub struct CatalogSnapshot {
     pub profiler: Arc<Profiler>,
 }
 
-impl CatalogSnapshot {
-    /// Keyword search (Q1): find the `top_k` elements matching the query
-    /// text in the requested scope. Shim over
-    /// [`execute`](CatalogSnapshot::execute).
-    pub fn content_search(
-        &self,
-        query: &str,
-        mode: SearchMode,
-        top_k: usize,
-    ) -> Vec<DiscoveryResult> {
-        if top_k == 0 {
-            return Vec::new();
-        }
-        self.execute(&QueryBuilder::keyword(query).mode(mode).top_k(top_k).build())
-            .map(QueryResponse::into_results)
-            .unwrap_or_default()
-    }
-
-    /// Cross-modal Doc→Table discovery (Q2/Q3) for a document already in the
-    /// lake, using the joint space when trained and the solo space
-    /// otherwise. Shim over [`execute`](CatalogSnapshot::execute).
-    pub fn cross_modal_search(
-        &self,
-        document: usize,
-        top_k: usize,
-    ) -> Result<Vec<DiscoveryResult>, CmdlError> {
-        if top_k == 0 {
-            self.require_document(document)?;
-            return Ok(Vec::new());
-        }
-        let response =
-            self.execute(&QueryBuilder::cross_modal_doc(document).top_k(top_k).build())?;
-        Ok(response.into_results())
-    }
-
-    /// Cross-modal Doc→Table discovery for ad-hoc query text (e.g. a
-    /// highlighted sentence, as in Figure 1). Shim over
-    /// [`execute`](CatalogSnapshot::execute).
-    pub fn cross_modal_search_text(
-        &self,
-        text: &str,
-        top_k: usize,
-    ) -> Result<Vec<DiscoveryResult>, CmdlError> {
-        if top_k == 0 {
-            return Ok(Vec::new());
-        }
-        let response = self.execute(&QueryBuilder::cross_modal_text(text).top_k(top_k).build())?;
-        Ok(response.into_results())
-    }
-
-    /// Doc→Table discovery with an explicit strategy (used by the Figure 6
-    /// comparison of CMDL variants). Takes an opaque [`DocQuery`] — plain
-    /// text or a lake document — instead of internal sketch types. Shim over
-    /// [`execute`](CatalogSnapshot::execute).
-    pub fn doc_to_table_search(
-        &self,
-        query: &DocQuery,
-        strategy: CrossModalStrategy,
-        top_k: usize,
-    ) -> Result<Vec<DiscoveryResult>, CmdlError> {
-        if top_k == 0 {
-            if let DocQuery::Document(index) = query {
-                self.require_document(*index)?;
-            }
-            return Ok(Vec::new());
-        }
-        let response = self.execute(
-            &QueryBuilder::doc_to_table(query.clone(), strategy)
-                .top_k(top_k)
-                .build(),
-        )?;
-        Ok(response.into_results())
-    }
-
-    /// Table-level joinability discovery (Q4). Shim over
-    /// [`execute`](CatalogSnapshot::execute).
-    pub fn joinable(&self, table: &str, top_k: usize) -> Result<Vec<DiscoveryResult>, CmdlError> {
-        if top_k == 0 {
-            self.require_table(table)?;
-            return Ok(Vec::new());
-        }
-        let response = self.execute(&QueryBuilder::joinable(table).top_k(top_k).build())?;
-        Ok(response.into_results())
-    }
-
-    /// Column-level joinability discovery. Shim over
-    /// [`execute`](CatalogSnapshot::execute).
-    pub fn joinable_columns(
-        &self,
-        table: &str,
-        column: &str,
-        top_k: usize,
-    ) -> Result<Vec<DiscoveryResult>, CmdlError> {
-        if top_k == 0 {
-            self.require_column(table, column)?;
-            return Ok(Vec::new());
-        }
-        let response = self.execute(
-            &QueryBuilder::joinable_column(table, column)
-                .top_k(top_k)
-                .build(),
-        )?;
-        Ok(response.into_results())
-    }
-
-    /// PK-FK discovery over the whole lake (every link, ranked). Shim over
-    /// [`execute`](CatalogSnapshot::execute); see
-    /// [`pkfk_top`](CatalogSnapshot::pkfk_top) for bounded variants.
-    pub fn pkfk(&self) -> Result<Vec<PkFkLink>, CmdlError> {
-        self.pkfk_top(usize::MAX, 0.0)
-    }
-
-    /// PK-FK discovery bounded to the `top_k` strongest links at or above
-    /// `min_score`. Shim over [`execute`](CatalogSnapshot::execute).
-    pub fn pkfk_top(&self, top_k: usize, min_score: f64) -> Result<Vec<PkFkLink>, CmdlError> {
-        if top_k == 0 {
-            return Ok(Vec::new());
-        }
-        let response = self.execute(
-            &QueryBuilder::pkfk()
-                .top_k(top_k)
-                .min_score(min_score)
-                .build(),
-        )?;
-        Ok(response
-            .hits
-            .into_iter()
-            .filter_map(|hit| hit.pkfk)
-            .collect())
-    }
-
-    /// Unionable-table discovery (Q5). Shim over
-    /// [`execute`](CatalogSnapshot::execute).
-    pub fn unionable(&self, table: &str, top_k: usize) -> Result<Vec<UnionScore>, CmdlError> {
-        if top_k == 0 {
-            self.require_table(table)?;
-            return Ok(Vec::new());
-        }
-        let response = self.execute(&QueryBuilder::unionable(table).top_k(top_k).build())?;
-        Ok(response
-            .hits
-            .into_iter()
-            .filter_map(|hit| hit.union)
-            .collect())
-    }
-
-    /// Validate that a table is live (the `top_k == 0` shims keep the same
-    /// error behavior as a real execution without paying for the scan).
-    fn require_table(&self, table: &str) -> Result<(), CmdlError> {
-        if self.profiled.lake.table(table).is_none() {
-            return Err(CmdlError::UnknownTable(table.to_string()));
-        }
-        Ok(())
-    }
-
-    /// Validate that a column exists (see [`require_table`](Self::require_table)).
-    fn require_column(&self, table: &str, column: &str) -> Result<(), CmdlError> {
-        self.profiled
-            .lake
-            .column_id_by_name(table, column)
-            .map(|_| ())
-            .ok_or_else(|| CmdlError::UnknownColumn {
-                table: table.to_string(),
-                column: column.to_string(),
-            })
-    }
-
-    /// Validate that a document exists (see [`require_table`](Self::require_table)).
-    fn require_document(&self, index: usize) -> Result<(), CmdlError> {
-        self.profiled
-            .lake
-            .document_id(index)
-            .map(|_| ())
-            .ok_or(CmdlError::UnknownDocument(index))
-    }
-
-    /// Wrap an element id and score as a [`DiscoveryResult`].
-    pub(crate) fn element_result(&self, id: DeId, score: f64) -> DiscoveryResult {
-        let label = self
-            .profiled
-            .profile(id)
-            .map(|p| p.qualified_name.clone())
-            .unwrap_or_else(|| format!("de-{}", id.raw()));
-        let table = self.profiled.profile(id).and_then(|p| p.table_name.clone());
-        DiscoveryResult {
-            element: Some(id),
-            table,
-            label,
-            score,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use cmdl_datalake::synth;
 
     use crate::config::CmdlConfig;
-    use crate::discovery::{Cmdl, SearchMode};
+    use crate::discovery::Cmdl;
+    use crate::query::QueryBuilder;
 
     #[test]
     fn snapshot_queries_match_live_system() {
@@ -257,25 +56,14 @@ mod tests {
         let cmdl = Cmdl::build(lake, CmdlConfig::fast());
         let snap = cmdl.snapshot();
         assert_eq!(snap.generation, cmdl.generation());
-        let live = cmdl.content_search("drug", SearchMode::All, 5);
-        let pinned = snap.content_search("drug", SearchMode::All, 5);
-        assert_eq!(live, pinned);
-        assert_eq!(
-            cmdl.joinable("Drugs", 3).unwrap(),
-            snap.joinable("Drugs", 3).unwrap()
-        );
-    }
-
-    #[test]
-    fn zero_top_k_shims_return_empty() {
-        let lake = synth::pharma::generate(&synth::PharmaConfig::tiny()).lake;
-        let cmdl = Cmdl::build(lake, CmdlConfig::fast());
-        let snap = cmdl.snapshot();
-        assert!(snap.content_search("drug", SearchMode::All, 0).is_empty());
-        assert!(snap.cross_modal_search(0, 0).unwrap().is_empty());
-        assert!(snap.joinable("Drugs", 0).unwrap().is_empty());
-        assert!(snap.unionable("Drugs", 0).unwrap().is_empty());
-        // Unknown references still error, exactly like the bounded calls.
-        assert!(snap.joinable("NoSuch", 0).is_err());
+        for query in [
+            QueryBuilder::keyword("drug").top_k(5).build(),
+            QueryBuilder::joinable("Drugs").top_k(3).build(),
+        ] {
+            let live = cmdl.execute(&query).unwrap();
+            let pinned = snap.execute(&query).unwrap();
+            assert_eq!(live.generation, pinned.generation);
+            assert_eq!(live.hits, pinned.hits, "{} diverges", query.kind());
+        }
     }
 }

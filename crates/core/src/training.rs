@@ -8,7 +8,7 @@
 //! features (the raw similarity scores), and emits `(document, column,
 //! relatedness)` training pairs.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -329,7 +329,9 @@ impl<'a> TrainingDatasetGenerator<'a> {
             });
             covered.insert((doc, col));
         }
-        let covered_docs: HashSet<DeId> = covered.iter().map(|(d, _)| *d).collect();
+        // Sorted, so the order in which documents draw their negatives
+        // from `neg_rng` does not depend on hash order.
+        let covered_docs: BTreeSet<DeId> = covered.iter().map(|(d, _)| *d).collect();
         let mut neg_rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x9E6);
         for &doc in covered_docs.iter() {
             let mut negatives: Vec<DeId> = columns

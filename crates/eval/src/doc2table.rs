@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use cmdl_baselines::{
     ContainmentSearch, ElasticBaseline, ElasticVariant, EntityMatcher, EntityMetric,
 };
-use cmdl_core::{Cmdl, CrossModalStrategy, DocQuery};
+use cmdl_core::{Cmdl, CrossModalStrategy, DocQuery, QueryBuilder};
 use cmdl_datalake::{Benchmark, BenchmarkKind, QueryInput};
 
 use crate::metrics::{precision_recall_curve, PrPoint};
@@ -110,27 +110,22 @@ pub fn evaluate_doc2table(
             let doc_id = cmdl.profiled.lake.document_id(*doc_idx)?;
             let profile = cmdl.profiled.profile(doc_id)?;
             let text = &cmdl.profiled.lake.documents()[*doc_idx].text;
+            let cmdl_tables = |strategy| {
+                let query = QueryBuilder::doc_to_table(DocQuery::Document(*doc_idx), strategy)
+                    .top_k(max_k)
+                    .build();
+                cmdl.execute(&query)
+                    .map(|response| response.hits)
+                    .unwrap_or_default()
+                    .into_iter()
+                    .filter_map(|hit| hit.table)
+                    .collect()
+            };
             let ranked: Vec<String> = match method {
-                Doc2TableMethod::CmdlSolo => cmdl
-                    .doc_to_table_search(
-                        &DocQuery::Document(*doc_idx),
-                        CrossModalStrategy::SoloEmbedding,
-                        max_k,
-                    )
-                    .unwrap_or_default()
-                    .into_iter()
-                    .filter_map(|r| r.table)
-                    .collect(),
-                Doc2TableMethod::CmdlJoint | Doc2TableMethod::CmdlJointGold => cmdl
-                    .doc_to_table_search(
-                        &DocQuery::Document(*doc_idx),
-                        CrossModalStrategy::JointEmbedding,
-                        max_k,
-                    )
-                    .unwrap_or_default()
-                    .into_iter()
-                    .filter_map(|r| r.table)
-                    .collect(),
+                Doc2TableMethod::CmdlSolo => cmdl_tables(CrossModalStrategy::SoloEmbedding),
+                Doc2TableMethod::CmdlJoint | Doc2TableMethod::CmdlJointGold => {
+                    cmdl_tables(CrossModalStrategy::JointEmbedding)
+                }
                 Doc2TableMethod::ElasticBm25 => answers(
                     elastic(ElasticVariant::Bm25ContentAndSchema)
                         .doc_to_table(&profile.content, max_k),

@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 
 use cmdl_baselines::{Aurum, D3l};
-use cmdl_core::{Cmdl, JoinDiscovery, UnionDiscovery};
+use cmdl_core::{Cmdl, JoinDiscovery, QueryBuilder, UnionDiscovery};
 use cmdl_datalake::{Benchmark, BenchmarkKind, QueryInput};
 
 use crate::metrics::{precision_recall_curve, r_precision, PrPoint};
@@ -119,9 +119,11 @@ pub fn evaluate_pkfk(
     let expected: &BTreeSet<String> = &benchmark.queries[0].expected;
     let reported: Vec<String> = match system {
         StructuredSystem::Cmdl => cmdl
-            .pkfk()
+            .execute(&QueryBuilder::pkfk().top_k(usize::MAX).build())
+            .map(|response| response.hits)
             .unwrap_or_default()
             .into_iter()
+            .filter_map(|hit| hit.pkfk)
             .map(|l| format!("{}->{}", l.pk_name, l.fk_name))
             .collect(),
         StructuredSystem::Aurum => Aurum::new(&cmdl.profiled, &cmdl.config)

@@ -16,7 +16,7 @@
 //! a `crash` run externally) exercises the same recovery path the
 //! fault-injection harness in `tests/recovery.rs` sweeps exhaustively.
 
-use cmdl::core::{Cmdl, CmdlConfig, RecoveryReport, SearchMode};
+use cmdl::core::{Cmdl, CmdlConfig, Hit, QueryBuilder, RecoveryReport, SearchMode};
 use cmdl::datalake::{synth, Document};
 
 const CRASH_DOC_TITLE: &str = "crash-survivor-note";
@@ -27,6 +27,15 @@ fn open(dir: &std::path::Path) -> Cmdl {
         synth::pharma::generate(&synth::pharma::PharmaConfig::tiny()).lake
     })
     .expect("open durable catalog")
+}
+
+/// The top three documents matching `text`.
+fn search_documents(system: &Cmdl, text: &str) -> Vec<Hit> {
+    let query = QueryBuilder::keyword(text)
+        .mode(SearchMode::Text)
+        .top_k(3)
+        .build();
+    system.execute(&query).expect("keyword search").hits
 }
 
 fn main() {
@@ -60,7 +69,7 @@ fn main() {
                 matches!(report, RecoveryReport::Loaded { .. }),
                 "check mode expects an existing catalog directory"
             );
-            let hits = system.content_search("durable across crashes", SearchMode::Text, 3);
+            let hits = search_documents(&system, "durable across crashes");
             assert!(
                 hits.iter().any(|h| h.label == CRASH_DOC_TITLE),
                 "the crashed run's acked ingest must be discoverable, got {hits:?}"
@@ -88,7 +97,7 @@ fn main() {
             let report = system.recovery_report().expect("opened persistently");
             println!("reopened: {report:?}");
             assert!(matches!(report, RecoveryReport::Loaded { .. }));
-            let hits = system.content_search("fsynced to the WAL", SearchMode::Text, 3);
+            let hits = search_documents(&system, "fsynced to the WAL");
             assert!(hits.iter().any(|h| h.label == "durable-note"));
             println!("ok: reopen loaded the segment + WAL tail; ingest survived");
             let _ = std::fs::remove_dir_all(&dir);

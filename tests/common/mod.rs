@@ -5,6 +5,7 @@
 
 use std::collections::BTreeMap;
 
+use cmdl::core::{CatalogSnapshot, DiscoveryQuery};
 use cmdl::datalake::{DataLake, Document, Table};
 
 /// A lake containing `tables` then `documents`, in order.
@@ -17,6 +18,18 @@ pub fn lake_of(name: &str, tables: &[Table], documents: &[Document]) -> DataLake
         lake.add_document(d.clone());
     }
     lake
+}
+
+/// Execute `query` against `snapshot` and keep each hit's `(label, score)`,
+/// the shape [`assert_result_parity`] compares. Panics if the query fails.
+pub fn ranked(snapshot: &CatalogSnapshot, query: &DiscoveryQuery) -> Vec<(String, f64)> {
+    snapshot
+        .execute(query)
+        .unwrap_or_else(|e| panic!("{} query failed: {e}", query.kind()))
+        .hits
+        .into_iter()
+        .map(|hit| (hit.label, hit.score))
+        .collect()
 }
 
 /// Assert that two ranked `(label, score)` result lists are identical modulo

@@ -2,7 +2,7 @@
 //! lakes, cross-crate interactions, and the paper's qualitative claims at a
 //! small scale.
 
-use cmdl::core::{Cmdl, CmdlConfig, SearchMode};
+use cmdl::core::{Cmdl, CmdlConfig, Hit, QueryBuilder, SearchMode};
 use cmdl::datalake::benchmarks::{
     doc_to_table_benchmark, pkfk_benchmark, syntactic_join_benchmark, unionable_benchmark,
 };
@@ -11,6 +11,11 @@ use cmdl::eval::{
     evaluate_doc2table, evaluate_join, evaluate_pkfk, evaluate_union, Doc2TableMethod,
     StructuredSystem,
 };
+
+/// Execute a query against the current generation and keep the hits.
+fn hits(cmdl: &Cmdl, query: QueryBuilder) -> Vec<Hit> {
+    cmdl.execute(&query.build()).expect("query executes").hits
+}
 
 fn pharma_system() -> (Cmdl, synth::SyntheticLake) {
     let synth_lake = synth::pharma::generate(&synth::pharma::PharmaConfig::tiny());
@@ -32,7 +37,12 @@ fn full_pipeline_q1_to_q5_returns_planted_answers() {
         .unwrap()
         .values[0]
         .as_text();
-    let docs = cmdl.content_search(&enzyme, SearchMode::Text, 3);
+    let docs = hits(
+        &cmdl,
+        QueryBuilder::keyword(&enzyme)
+            .mode(SearchMode::Text)
+            .top_k(3),
+    );
     assert!(!docs.is_empty(), "Q1 should return documents");
     for d in &docs {
         let kind = cmdl.profiled.profile(d.element.unwrap()).unwrap().kind;
@@ -45,7 +55,7 @@ fn full_pipeline_q1_to_q5_returns_planted_answers() {
         .lake
         .document_index(docs[0].element.unwrap())
         .unwrap();
-    let tables = cmdl.cross_modal_search(doc_idx, 4).unwrap();
+    let tables = hits(&cmdl, QueryBuilder::cross_modal_doc(doc_idx).top_k(4));
     assert!(!tables.is_empty(), "Q2 should return tables");
     let expected = synth_lake.truth.tables_for_doc(doc_idx).unwrap();
     assert!(
@@ -58,7 +68,7 @@ fn full_pipeline_q1_to_q5_returns_planted_answers() {
     );
 
     // Q4: joinable tables with Drugs must include an FK partner.
-    let joins = cmdl.joinable("Drugs", 4).unwrap();
+    let joins = hits(&cmdl, QueryBuilder::joinable("Drugs").top_k(4));
     let join_names: Vec<&str> = joins.iter().map(|j| j.label.as_str()).collect();
     assert!(
         join_names
@@ -68,13 +78,15 @@ fn full_pipeline_q1_to_q5_returns_planted_answers() {
     );
 
     // Q5: unionable tables with Drugs should surface the planted projections.
-    let unions = cmdl.unionable("Drugs", 5).unwrap();
+    let unions: Vec<String> = hits(&cmdl, QueryBuilder::unionable("Drugs").top_k(5))
+        .into_iter()
+        .filter_map(|hit| hit.union.map(|u| u.table))
+        .collect();
     assert!(
-        unions.iter().any(|u| u.table.starts_with("Drugs_proj_")
-            || u.table == "Compounds"
-            || u.table == "Chemical_Entities"),
-        "Q5 should find projection or name-aligned tables, got {:?}",
-        unions.iter().map(|u| &u.table).collect::<Vec<_>>()
+        unions
+            .iter()
+            .any(|t| t.starts_with("Drugs_proj_") || t == "Compounds" || t == "Chemical_Entities"),
+        "Q5 should find projection or name-aligned tables, got {unions:?}"
     );
 }
 
@@ -263,12 +275,13 @@ fn mlopen_lake_end_to_end_smoke() {
     let cmdl = Cmdl::build(synth_lake.lake, CmdlConfig::fast());
     // Cross-modal search for a review document should surface its dataset's
     // split tables or the catalog.
-    let results = cmdl.cross_modal_search(0, 3).unwrap();
+    let results = hits(&cmdl, QueryBuilder::cross_modal_doc(0).top_k(3));
     assert!(!results.is_empty());
-    let links = cmdl.pkfk().unwrap();
+    let links = hits(&cmdl, QueryBuilder::pkfk().top_k(usize::MAX));
     assert!(
         links
             .iter()
+            .filter_map(|hit| hit.pkfk.as_ref())
             .any(|l| l.pk_name.starts_with("dataset_catalog")),
         "catalog PK-FK links should be discovered"
     );

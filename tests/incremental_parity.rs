@@ -16,9 +16,9 @@
 
 mod common;
 
-use cmdl::core::{Cmdl, CmdlConfig, SearchMode};
+use cmdl::core::{Cmdl, CmdlConfig, QueryBuilder, SearchMode};
 use cmdl::datalake::{synth, DataLake, Document, Table};
-use common::{assert_result_parity, lake_of};
+use common::{assert_result_parity, lake_of, ranked};
 
 fn parity_config() -> synth::PharmaConfig {
     if std::env::var("PARITY_SCALE").as_deref() == Ok("bench") {
@@ -68,6 +68,7 @@ fn query_workload(tables: &[Table], documents: &[Document]) -> Vec<String> {
 /// Collect every discovery surface of a system as comparable
 /// `(tag, results)` pairs.
 fn discovery_surface(cmdl: &Cmdl, queries: &[String]) -> Vec<(String, Vec<(String, f64)>)> {
+    let snap = cmdl.snapshot();
     let mut surfaces = Vec::new();
     for (qi, query) in queries.iter().enumerate() {
         for (mode, mode_name) in [
@@ -75,20 +76,14 @@ fn discovery_surface(cmdl: &Cmdl, queries: &[String]) -> Vec<(String, Vec<(Strin
             (SearchMode::Text, "text"),
             (SearchMode::Tables, "tables"),
         ] {
-            let results = cmdl
-                .content_search(query, mode, 10)
-                .into_iter()
-                .map(|r| (r.label, r.score))
-                .collect();
-            surfaces.push((format!("content[{qi}][{mode_name}]"), results));
+            let keyword = QueryBuilder::keyword(query).mode(mode).top_k(10).build();
+            surfaces.push((
+                format!("content[{qi}][{mode_name}]"),
+                ranked(&snap, &keyword),
+            ));
         }
-        let results = cmdl
-            .cross_modal_search_text(query, 5)
-            .unwrap()
-            .into_iter()
-            .map(|r| (r.label, r.score))
-            .collect();
-        surfaces.push((format!("cross_modal[{qi}]"), results));
+        let cross_modal = QueryBuilder::cross_modal_text(query).top_k(5).build();
+        surfaces.push((format!("cross_modal[{qi}]"), ranked(&snap, &cross_modal)));
     }
     let mut table_names: Vec<String> = cmdl
         .profiled
@@ -101,28 +96,13 @@ fn discovery_surface(cmdl: &Cmdl, queries: &[String]) -> Vec<(String, Vec<(Strin
         .collect();
     table_names.sort();
     for name in &table_names {
-        let joins = cmdl
-            .joinable(name, 5)
-            .unwrap()
-            .into_iter()
-            .map(|r| (r.label, r.score))
-            .collect();
-        surfaces.push((format!("joinable[{name}]"), joins));
-        let unions = cmdl
-            .unionable(name, 5)
-            .unwrap()
-            .into_iter()
-            .map(|u| (u.table, u.score))
-            .collect();
-        surfaces.push((format!("unionable[{name}]"), unions));
+        let joins = QueryBuilder::joinable(name).top_k(5).build();
+        surfaces.push((format!("joinable[{name}]"), ranked(&snap, &joins)));
+        let unions = QueryBuilder::unionable(name).top_k(5).build();
+        surfaces.push((format!("unionable[{name}]"), ranked(&snap, &unions)));
     }
-    let pkfk = cmdl
-        .pkfk()
-        .unwrap()
-        .into_iter()
-        .map(|l| (format!("{}->{}", l.pk_name, l.fk_name), l.score))
-        .collect();
-    surfaces.push(("pkfk".to_string(), pkfk));
+    let pkfk = QueryBuilder::pkfk().top_k(usize::MAX).build();
+    surfaces.push(("pkfk".to_string(), ranked(&snap, &pkfk)));
     surfaces
 }
 

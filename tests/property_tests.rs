@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use cmdl::core::{Cmdl, CmdlConfig, SearchMode};
+use cmdl::core::{Cmdl, CmdlConfig, QueryBuilder};
 use cmdl::datalake::{Column, Document, Table};
 use cmdl::eval::{precision_at_k, r_precision, recall_at_k};
 use cmdl::index::{InvertedIndex, ScoringFunction, TopK};
@@ -350,12 +350,10 @@ proptest! {
         queries.extend(surviving_docs.first().map(|d| d.text.clone()));
 
         // Tombstone correctness + exact BM25 parity *before* compaction.
+        let batch_snap = batch.snapshot();
         for (qi, query) in queries.iter().enumerate() {
-            let delta: Vec<(String, f64)> = incremental
-                .content_search(query, SearchMode::All, 10)
-                .into_iter()
-                .map(|r| (r.label, r.score))
-                .collect();
+            let keyword = QueryBuilder::keyword(query).top_k(10).build();
+            let delta = common::ranked(&incremental.snapshot(), &keyword);
             for (label, _) in &delta {
                 for &ti in &removed_tables {
                     prop_assert!(
@@ -367,57 +365,34 @@ proptest! {
                     prop_assert!(label != &format!("d{di}"), "tombstoned document surfaced");
                 }
             }
-            let fresh: Vec<(String, f64)> = batch
-                .content_search(query, SearchMode::All, 10)
-                .into_iter()
-                .map(|r| (r.label, r.score))
-                .collect();
+            let fresh = common::ranked(&batch_snap, &keyword);
             common::assert_result_parity(&format!("pre-compact content[{qi}]"), &fresh, &delta);
         }
 
         // Full-surface parity after compaction.
         incremental.compact();
+        let incremental_snap = incremental.snapshot();
         for (qi, query) in queries.iter().enumerate() {
-            let delta: Vec<(String, f64)> = incremental
-                .content_search(query, SearchMode::All, 10)
-                .into_iter()
-                .map(|r| (r.label, r.score))
-                .collect();
-            let fresh: Vec<(String, f64)> = batch
-                .content_search(query, SearchMode::All, 10)
-                .into_iter()
-                .map(|r| (r.label, r.score))
-                .collect();
-            common::assert_result_parity(&format!("post-compact content[{qi}]"), &fresh, &delta);
-
-            let delta_cm: Vec<(String, f64)> = incremental
-                .cross_modal_search_text(query, 5)
-                .unwrap()
-                .into_iter()
-                .map(|r| (r.label, r.score))
-                .collect();
-            let fresh_cm: Vec<(String, f64)> = batch
-                .cross_modal_search_text(query, 5)
-                .unwrap()
-                .into_iter()
-                .map(|r| (r.label, r.score))
-                .collect();
-            common::assert_result_parity(&format!("cross_modal[{qi}]"), &fresh_cm, &delta_cm);
+            let keyword = QueryBuilder::keyword(query).top_k(10).build();
+            common::assert_result_parity(
+                &format!("post-compact content[{qi}]"),
+                &common::ranked(&batch_snap, &keyword),
+                &common::ranked(&incremental_snap, &keyword),
+            );
+            let cross_modal = QueryBuilder::cross_modal_text(query).top_k(5).build();
+            common::assert_result_parity(
+                &format!("cross_modal[{qi}]"),
+                &common::ranked(&batch_snap, &cross_modal),
+                &common::ranked(&incremental_snap, &cross_modal),
+            );
         }
         for table in &surviving_tables {
-            let delta: Vec<(String, f64)> = incremental
-                .joinable(&table.name, 5)
-                .unwrap()
-                .into_iter()
-                .map(|r| (r.label, r.score))
-                .collect();
-            let fresh: Vec<(String, f64)> = batch
-                .joinable(&table.name, 5)
-                .unwrap()
-                .into_iter()
-                .map(|r| (r.label, r.score))
-                .collect();
-            common::assert_result_parity(&format!("joinable[{}]", table.name), &fresh, &delta);
+            let joins = QueryBuilder::joinable(&table.name).top_k(5).build();
+            common::assert_result_parity(
+                &format!("joinable[{}]", table.name),
+                &common::ranked(&batch_snap, &joins),
+                &common::ranked(&incremental_snap, &joins),
+            );
         }
     }
 }

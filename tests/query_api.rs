@@ -8,8 +8,7 @@
 //! 2. **Filter pushdown**: the kind/mode scope filter evaluated inside the
 //!    index scan returns the same results as brute-force post-filtering an
 //!    unscoped search.
-//! 3. **Shim parity**: every legacy per-kind method returns exactly the
-//!    hits of `execute()`, and `execute_many` matches sequential `execute`.
+//! 3. **Batch parity**: `execute_many` matches sequential `execute`.
 //!
 //! Plus serde round-trips of the wire envelope.
 
@@ -108,31 +107,32 @@ proptest! {
     /// an unscoped search (modulo reordering inside exact score ties).
     #[test]
     fn mode_filter_matches_brute_force(top_k in 1usize..20) {
-        let cmdl = system();
-        let total = cmdl.profiled.len();
+        let snap = system().snapshot();
+        let total = snap.profiled.len();
         for query_text in ["drug", "enzyme inhibitor", "trial patient dose"] {
             for (mode, kind) in [
                 (SearchMode::Text, cmdl::datalake::DeKind::Document),
                 (SearchMode::Tables, cmdl::datalake::DeKind::Column),
             ] {
-                let pushed: Vec<(String, f64)> = cmdl
-                    .content_search(query_text, mode, top_k)
-                    .into_iter()
-                    .map(|r| (r.label, r.score))
-                    .collect();
+                let pushed = common::ranked(
+                    &snap,
+                    &QueryBuilder::keyword(query_text).mode(mode).top_k(top_k).build(),
+                );
                 // Brute force: fetch everything unscoped, post-filter by
                 // kind, truncate.
-                let brute: Vec<(String, f64)> = cmdl
-                    .content_search(query_text, SearchMode::All, total)
+                let brute: Vec<(String, f64)> = snap
+                    .execute(&QueryBuilder::keyword(query_text).top_k(total).build())
+                    .unwrap()
+                    .hits
                     .into_iter()
-                    .filter(|r| {
-                        r.element
-                            .and_then(|id| cmdl.profiled.profile(id))
+                    .filter(|hit| {
+                        hit.element
+                            .and_then(|id| snap.profiled.profile(id))
                             .map(|p| p.kind == kind)
                             .unwrap_or(false)
                     })
                     .take(top_k)
-                    .map(|r| (r.label, r.score))
+                    .map(|hit| (hit.label, hit.score))
                     .collect();
                 common::assert_result_parity(
                     &format!("pushdown[{query_text}][{mode:?}]"),
@@ -174,130 +174,6 @@ proptest! {
             prop_assert!(thresholded.hits.iter().all(|h| h.score >= threshold));
         }
     }
-}
-
-/// (c) Every legacy shim returns results identical to `execute()`.
-#[test]
-fn legacy_shims_match_execute() {
-    let cmdl = system();
-    let snap = cmdl.snapshot();
-    let k = 5;
-
-    // content_search == Keyword.
-    for mode in [SearchMode::All, SearchMode::Text, SearchMode::Tables] {
-        let legacy = cmdl.content_search("drug enzyme", mode, k);
-        let unified = snap
-            .execute(
-                &QueryBuilder::keyword("drug enzyme")
-                    .mode(mode)
-                    .top_k(k)
-                    .build(),
-            )
-            .unwrap()
-            .into_results();
-        assert_eq!(legacy, unified, "content_search diverges in {mode:?}");
-    }
-
-    // cross_modal_search == CrossModalDoc.
-    let legacy = cmdl.cross_modal_search(0, k).unwrap();
-    let unified = snap
-        .execute(&QueryBuilder::cross_modal_doc(0).top_k(k).build())
-        .unwrap()
-        .into_results();
-    assert_eq!(legacy, unified, "cross_modal_search diverges");
-
-    // cross_modal_search_text == CrossModalText.
-    let legacy = cmdl
-        .cross_modal_search_text("enzyme inhibitor trial", k)
-        .unwrap();
-    let unified = snap
-        .execute(
-            &QueryBuilder::cross_modal_text("enzyme inhibitor trial")
-                .top_k(k)
-                .build(),
-        )
-        .unwrap()
-        .into_results();
-    assert_eq!(legacy, unified, "cross_modal_search_text diverges");
-
-    // doc_to_table_search == DocToTable, for both strategies and both
-    // DocQuery shapes.
-    for strategy in [
-        CrossModalStrategy::SoloEmbedding,
-        CrossModalStrategy::JointEmbedding,
-    ] {
-        for doc_query in [
-            DocQuery::Document(0),
-            DocQuery::Text("pemetrexed inhibits thymidylate synthase".to_string()),
-        ] {
-            let legacy = cmdl.doc_to_table_search(&doc_query, strategy, k).unwrap();
-            let unified = snap
-                .execute(
-                    &QueryBuilder::doc_to_table(doc_query.clone(), strategy)
-                        .top_k(k)
-                        .build(),
-                )
-                .unwrap()
-                .into_results();
-            assert_eq!(
-                legacy, unified,
-                "doc_to_table_search diverges for {doc_query:?}"
-            );
-        }
-    }
-
-    // joinable == JoinableTable.
-    let legacy = cmdl.joinable("Drugs", k).unwrap();
-    let unified = snap
-        .execute(&QueryBuilder::joinable("Drugs").top_k(k).build())
-        .unwrap()
-        .into_results();
-    assert_eq!(legacy, unified, "joinable diverges");
-
-    // joinable_columns == JoinableColumn.
-    let legacy = cmdl.joinable_columns("Drugs", "Id", k).unwrap();
-    let unified = snap
-        .execute(
-            &QueryBuilder::joinable_column("Drugs", "Id")
-                .top_k(k)
-                .build(),
-        )
-        .unwrap()
-        .into_results();
-    assert_eq!(legacy, unified, "joinable_columns diverges");
-
-    // unionable == Unionable (full UnionScore, not just labels).
-    let legacy = cmdl.unionable("Drugs", k).unwrap();
-    let unified: Vec<_> = snap
-        .execute(&QueryBuilder::unionable("Drugs").top_k(k).build())
-        .unwrap()
-        .hits
-        .into_iter()
-        .filter_map(|h| h.union)
-        .collect();
-    assert_eq!(legacy, unified, "unionable diverges");
-
-    // pkfk == PkFk (full links).
-    let legacy = cmdl.pkfk().unwrap();
-    let unified: Vec<_> = snap
-        .execute(&QueryBuilder::pkfk().top_k(usize::MAX).build())
-        .unwrap()
-        .hits
-        .into_iter()
-        .filter_map(|h| h.pkfk)
-        .collect();
-    assert_eq!(legacy, unified, "pkfk diverges");
-
-    // pkfk_top == PkFk with top_k/min_score.
-    let legacy = cmdl.pkfk_top(3, 0.5).unwrap();
-    let unified: Vec<_> = snap
-        .execute(&QueryBuilder::pkfk().top_k(3).min_score(0.5).build())
-        .unwrap()
-        .hits
-        .into_iter()
-        .filter_map(|h| h.pkfk)
-        .collect();
-    assert_eq!(legacy, unified, "pkfk_top diverges");
 }
 
 /// Batched execution returns exactly the per-query results, in input order,

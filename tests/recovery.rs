@@ -28,9 +28,11 @@ use std::path::{Path, PathBuf};
 use proptest::prelude::*;
 
 use cmdl::core::persist::{decode_frames, encode_frame, MANIFEST_NAME};
-use cmdl::core::{Cmdl, CmdlConfig, CmdlError, Fault, FaultPlan, Io, RecoveryReport, SearchMode};
+use cmdl::core::{
+    Cmdl, CmdlConfig, CmdlError, Fault, FaultPlan, Io, QueryBuilder, RecoveryReport, SearchMode,
+};
 use cmdl::datalake::{synth, DataLake, Document, Table};
-use common::assert_result_parity;
+use common::{assert_result_parity, ranked};
 
 // ---------------------------------------------------------------------
 // Scaffolding
@@ -154,6 +156,7 @@ fn queries_for(lake: &DataLake) -> Vec<String> {
 /// A compact discovery surface: content search over every mode plus the
 /// PK-FK graph (cheap enough to evaluate once per kill point).
 fn quick_surface(cmdl: &Cmdl, queries: &[String]) -> Vec<(String, Vec<(String, f64)>)> {
+    let snap = cmdl.snapshot();
     let mut surfaces = Vec::new();
     for (qi, query) in queries.iter().enumerate() {
         for (mode, mode_name) in [
@@ -161,21 +164,15 @@ fn quick_surface(cmdl: &Cmdl, queries: &[String]) -> Vec<(String, Vec<(String, f
             (SearchMode::Text, "text"),
             (SearchMode::Tables, "tables"),
         ] {
-            let results = cmdl
-                .content_search(query, mode, 10)
-                .into_iter()
-                .map(|r| (r.label, r.score))
-                .collect();
-            surfaces.push((format!("content[{qi}][{mode_name}]"), results));
+            let keyword = QueryBuilder::keyword(query).mode(mode).top_k(10).build();
+            surfaces.push((
+                format!("content[{qi}][{mode_name}]"),
+                ranked(&snap, &keyword),
+            ));
         }
     }
-    let pkfk = cmdl
-        .pkfk()
-        .expect("pkfk on recovered catalog")
-        .into_iter()
-        .map(|l| (format!("{}->{}", l.pk_name, l.fk_name), l.score))
-        .collect();
-    surfaces.push(("pkfk".to_string(), pkfk));
+    let pkfk = QueryBuilder::pkfk().top_k(usize::MAX).build();
+    surfaces.push(("pkfk".to_string(), ranked(&snap, &pkfk)));
     surfaces
 }
 
@@ -507,7 +504,10 @@ fn hand_corrupted_manifest_and_segment_fall_back_to_rebuild() {
             other => panic!("corrupt {target}: expected Rebuilt, got {other:?}"),
         }
         // The rebuilt catalog still serves queries.
-        let results = recovered.content_search("drug", SearchMode::All, 5);
+        let results = ranked(
+            &recovered.snapshot(),
+            &QueryBuilder::keyword("drug").top_k(5).build(),
+        );
         assert!(
             !results.is_empty(),
             "rebuilt catalog must keep serving content search"

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use cmdl::core::{
     Cmdl, CmdlConfig, LinkChaos, LinkFault, LoopbackLink, QueryBuilder, Replica, ReplicationConfig,
-    ReplicationGroup, SearchMode,
+    ReplicationGroup,
 };
 use cmdl::datalake::{synth, Column, Document, Table};
 use cmdl::server::{CmdlService, ResponsePayload, ServiceRequest};
@@ -135,11 +135,12 @@ fn assert_replica_parity(service: &CmdlService, replica: &Replica) {
         replica.name()
     );
     assert_eq!(ours.stats(), theirs.stats(), "stats parity");
-    for query in ["alpha", "beta batch", "enzyme", "inhibitor"] {
+    for text in ["alpha", "beta batch", "enzyme", "inhibitor"] {
+        let query = QueryBuilder::keyword(text).top_k(10).build();
         assert_eq!(
-            ours.content_search(query, SearchMode::All, 10),
-            theirs.content_search(query, SearchMode::All, 10),
-            "content search parity for {query:?}"
+            ours.execute(&query).unwrap().hits,
+            theirs.execute(&query).unwrap().hits,
+            "content search parity for {text:?}"
         );
     }
 }
