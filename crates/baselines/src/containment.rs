@@ -50,11 +50,7 @@ impl ContainmentSearch {
             // Must match the profiler's hasher exactly (scheme, seed, and
             // length) or query signatures are incomparable with the stored
             // ones.
-            hasher: MinHasher::with_scheme(
-                config.minhash_hashes,
-                config.seed,
-                config.sketch_scheme,
-            ),
+            hasher: MinHasher::one_permutation(config.minhash_hashes, config.seed),
             column_tables,
             threshold: 0.3,
         }

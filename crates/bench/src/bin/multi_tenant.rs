@@ -40,8 +40,8 @@ const ROUNDS: usize = 3;
 const SHED_BACKOFF_BASE: Duration = Duration::from_micros(250);
 const SHED_BACKOFF_CAP: Duration = Duration::from_millis(2);
 
-/// Mixed discovery workload over the bench-scale pharma lake (same shape
-/// as the server_load bench, trimmed for the two-tenant closed loop).
+/// Mixed discovery workload over the bench-scale pharma lake, sized for
+/// the two-tenant closed loop.
 fn workload(lake: &cmdl_datalake::DataLake) -> Vec<DiscoveryQuery> {
     let mut queries = Vec::new();
     let keyword_texts: Vec<String> = lake

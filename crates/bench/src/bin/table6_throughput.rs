@@ -1,18 +1,11 @@
 //! Table 6: query throughput (queries per second) of the three index types
 //! used as labeling functions — keyword search (BM25), containment (LSH
 //! Ensemble), and semantic nearest-neighbour (ANN).
-//!
-//! For the keyword and containment probes the binary measures both the
-//! optimized query path and an in-process reimplementation of the
-//! pre-optimization path (`search_exhaustive` — per-query `HashMap`
-//! scoring with `top_k × 4` over-fetch and post-filtering — and
-//! `query_top_k_brute` — full signature scan plus sort), so the speedup
-//! ratio is measured on the same data, same build, same machine.
 
 use std::time::Instant;
 
 use cmdl_bench::{bench_config, build_system, emit, pharma_lake};
-use cmdl_datalake::{DeId, DeKind};
+use cmdl_datalake::DeKind;
 use cmdl_eval::{ExperimentReport, MethodResult};
 
 /// Best-of-N throughput measurement: runs `passes` timed passes of
@@ -50,41 +43,15 @@ fn main() {
     let mut report = ExperimentReport::new(
         "Table 6",
         format!(
-            "Index probe throughput in queries/second (top-{} probes, {} query documents x {} rounds). \
-             *_baseline rows re-run the pre-optimization algorithms in the same process.",
+            "Index probe throughput in queries/second (top-{} probes, {} query documents x {} rounds).",
             k,
             doc_profiles.len(),
             rounds
         ),
     );
 
-    // --- Keyword search (BM25 over content, restricted to columns). ---
-
-    // Pre-optimization path: exhaustive HashMap scoring, top_k*4 over-fetch,
-    // post-filter by kind (the seed's `filter_by_kind`).
-    let keyword_baseline_qps = measure_qps(passes, rounds, doc_profiles.len(), || {
-        for p in &doc_profiles {
-            let hits = cmdl.indexes.content.search_exhaustive(
-                &p.content,
-                k * 4,
-                cmdl_index::ScoringFunction::default(),
-            );
-            let _filtered: Vec<(DeId, f64)> = hits
-                .into_iter()
-                .map(|(id, score)| (DeId(id), score))
-                .filter(|(id, _)| {
-                    cmdl.profiled
-                        .profile(*id)
-                        .map(|p| p.kind == DeKind::Column)
-                        .unwrap_or(false)
-                })
-                .take(k)
-                .collect();
-        }
-    });
-
-    // Optimized path: heap-based scoring with the kind filter streamed
-    // through the top-k heap.
+    // Keyword search: BM25 over content, restricted to columns inside the
+    // top-k heap.
     let keyword_qps = measure_qps(passes, rounds, doc_profiles.len(), || {
         for p in &doc_profiles {
             let _ = cmdl.indexes.content_search(
@@ -96,36 +63,14 @@ fn main() {
             );
         }
     });
-
-    report.push(
-        MethodResult::new("Content search (BM25 inverted index)")
-            .with("Qps", keyword_qps)
-            .with("Baseline_qps", keyword_baseline_qps)
-            .with("Speedup", keyword_qps / keyword_baseline_qps),
-    );
-
-    // --- Containment (LSH Ensemble). ---
-
-    let containment_baseline_qps = measure_qps(passes, rounds, doc_profiles.len(), || {
-        for p in &doc_profiles {
-            let _ = cmdl.indexes.containment.query_top_k_brute(&p.minhash, k);
-        }
-    });
+    report.push(MethodResult::new("Content search (BM25 inverted index)").with("Qps", keyword_qps));
 
     let containment_qps = measure_qps(passes, rounds, doc_profiles.len(), || {
         for p in &doc_profiles {
             let _ = cmdl.indexes.containment_search(&p.minhash, k);
         }
     });
-
-    report.push(
-        MethodResult::new("Containment (LSH Ensemble)")
-            .with("Qps", containment_qps)
-            .with("Baseline_qps", containment_baseline_qps)
-            .with("Speedup", containment_qps / containment_baseline_qps),
-    );
-
-    // --- Semantic (ANN over solo embeddings). ---
+    report.push(MethodResult::new("Containment (LSH Ensemble)").with("Qps", containment_qps));
 
     let ann_qps = measure_qps(passes, rounds, doc_profiles.len(), || {
         for p in &doc_profiles {

@@ -6,8 +6,6 @@
 
 use serde::{Deserialize, Serialize};
 
-pub use cmdl_sketch::SketchScheme;
-
 /// Hard-sampling strategy for triplet generation (paper Figure 5 / 10b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HardSampling {
@@ -49,11 +47,6 @@ pub enum CrossModalStrategy {
 pub struct CmdlConfig {
     /// Number of MinHash permutations per signature.
     pub minhash_hashes: usize,
-    /// MinHash construction: one-permutation hashing with optimal
-    /// densification (`O(n + k)` per signature, the default) or the classic
-    /// `k`-independent-hash scheme (`O(n·k)`, the pre-optimization
-    /// behaviour, kept for comparison and as a fallback).
-    pub sketch_scheme: SketchScheme,
     /// Solo-embedding dimensionality (the joint-model input is twice this).
     pub embedding_dim: usize,
     /// Joint-embedding (output) dimensionality.
@@ -148,7 +141,6 @@ impl Default for CmdlConfig {
     fn default() -> Self {
         Self {
             minhash_hashes: 128,
-            sketch_scheme: SketchScheme::OnePermutation,
             embedding_dim: 100,
             joint_dim: 100,
             containment_threshold: 0.5,

@@ -62,7 +62,7 @@ pub mod training;
 pub mod union;
 
 pub use column_index::ColumnIndex;
-pub use config::{CmdlConfig, CrossModalStrategy, HardSampling, ShardPolicy, SketchScheme};
+pub use config::{CmdlConfig, CrossModalStrategy, HardSampling, ShardPolicy};
 pub use discovery::{Cmdl, SearchMode};
 pub use ekg::{Ekg, NodeId, RelationType};
 pub use error::{CmdlError, ErrorCode};

@@ -214,11 +214,7 @@ impl Profiler {
         Self {
             doc_pipeline: Pipeline::new(PipelineConfig::default()),
             cell_pipeline: Pipeline::new(PipelineConfig::tokenize_only()),
-            minhasher: MinHasher::with_scheme(
-                config.minhash_hashes,
-                config.seed,
-                config.sketch_scheme,
-            ),
+            minhasher: MinHasher::one_permutation(config.minhash_hashes, config.seed),
             solo: SoloEmbedder::new(word_embedder),
             config: config.clone(),
         }

@@ -768,8 +768,8 @@ impl InvertedIndex {
     }
 
     /// The pre-block-max document-at-a-time scan: identical ranking, no
-    /// pruning. Kept as the in-process baseline of the hot-path benchmark
-    /// and as the reference the block-max parity tests compare against.
+    /// pruning. Kept as the reference the block-max parity tests compare
+    /// against.
     pub fn search_unpruned(
         &self,
         query: &BagOfWords,
@@ -918,9 +918,8 @@ impl InvertedIndex {
     }
 
     /// Reference implementation of the pre-optimization query path: score
-    /// every touched document into a `HashMap`, then sort. Kept for the
-    /// estimator-parity tests and as the in-process baseline of the
-    /// throughput benchmarks; production queries use
+    /// every touched document into a `HashMap`, then sort. Kept as the
+    /// oracle of the parity tests; production queries use
     /// [`search_with`](Self::search_with).
     pub fn search_exhaustive(
         &self,

@@ -1036,6 +1036,12 @@ impl SingleGate {
                 "reconfigure cannot change the shard count; restart with a sharded config",
             ));
         }
+        if config.replicas > 0 {
+            return ServiceResponse::failure(ServiceError::with_subject(
+                ErrorCode::InvalidQuery,
+                "reconfigure cannot add replicas; restart with the replicas knob set",
+            ));
+        }
         if self
             .reconfiguring
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)

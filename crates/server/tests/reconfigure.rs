@@ -12,14 +12,14 @@
 //!   for the whole duration of the rebuild; deltas ingested while the
 //!   rebuild runs are present after the swap (the replay log).
 //! * **Typed edges** — a second reconfigure while one is in flight, a
-//!   shard-count change, and the sharded backend are typed errors, never
-//!   panics or hangs.
+//!   shard-count or replica-count change, and the sharded backend are
+//!   typed errors, never panics or hangs.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use cmdl_core::{Cmdl, CmdlConfig, QueryBuilder, SketchScheme};
+use cmdl_core::{Cmdl, CmdlConfig, QueryBuilder};
 use cmdl_datalake::{synth, DataLake, Document, Table};
 use cmdl_server::{CmdlService, ResponsePayload, ServiceRequest, ServiceResponse};
 
@@ -226,11 +226,14 @@ fn ann_quantize_flip_swaps_online_with_cold_build_parity() {
     reconfigure_round(old, new);
 }
 
+/// A signature-width change rebuilds every MinHash signature and every
+/// sketch index online.
 #[test]
-fn sketch_scheme_flip_swaps_online_with_cold_build_parity() {
+fn minhash_width_flip_swaps_online_with_cold_build_parity() {
     let old = CmdlConfig::fast();
+    assert_eq!(old.minhash_hashes, 64);
     let new = CmdlConfig {
-        sketch_scheme: SketchScheme::Classic,
+        minhash_hashes: 128,
         ..CmdlConfig::fast()
     };
     reconfigure_round(old, new);
@@ -304,6 +307,25 @@ fn shard_count_changes_and_sharded_backends_are_typed_errors() {
         resharded.error_code(),
         Some(cmdl_core::ErrorCode::InvalidQuery),
         "{resharded:?}"
+    );
+    // Neither can replicas be added: the backend would stay single and
+    // serve none of them.
+    let replicated = single.handle(ServiceRequest::Reconfigure(CmdlConfig {
+        replicas: 2,
+        ..CmdlConfig::fast()
+    }));
+    assert_eq!(
+        replicated.error_code(),
+        Some(cmdl_core::ErrorCode::InvalidQuery),
+        "{replicated:?}"
+    );
+    assert!(
+        replicated
+            .error
+            .as_ref()
+            .and_then(|error| error.subject.as_deref())
+            .is_some_and(|subject| subject.contains("replicas")),
+        "the rejection names the replicas knob: {replicated:?}"
     );
 
     // The sharded backend has no online-reconfigure path at all.

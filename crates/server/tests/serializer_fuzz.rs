@@ -10,7 +10,7 @@ use cmdl_core::{
     DiscoveryQuery, ErrorCode, Hit, QueryBuilder, QueryResponse, ScoreBreakdown, SearchMode, Signal,
 };
 use cmdl_server::{BatchOutcome, ResponsePayload, ServiceError, ServiceResponse};
-use serde::Json;
+use serde::{Json, Serialize};
 
 /// Splice non-ASCII/escape-heavy fragments into generated ASCII so the
 /// fuzz covers multi-byte UTF-8, quotes, backslashes, and control chars
@@ -83,10 +83,17 @@ fn hit_of(label: String, score: f64, signals: Vec<(usize, f64)>) -> Hit {
     }
 }
 
+/// The DOM reference rendering: build the `Json` tree, then write it.
+fn dom(response: &ServiceResponse) -> String {
+    let mut out = String::new();
+    serde::write_compact(&response.to_json(), &mut out);
+    out
+}
+
 /// Every envelope checked three ways: byte equality against the DOM
 /// encoder, and Json-tree equality after parsing both renderings back.
 fn assert_roundtrip(response: &ServiceResponse) -> Result<(), TestCaseError> {
-    let dom = serde_json::to_string(response).expect("DOM serialization");
+    let dom = dom(response);
     let mut streamed = String::new();
     serde_json::write_to_string(response, &mut streamed);
     prop_assert_eq!(&streamed, &dom);
@@ -181,7 +188,7 @@ proptest! {
                 total_candidates: 1,
                 elapsed_micros: 3,
             }));
-            let dom = serde_json::to_string(&response).expect("DOM serialization");
+            let dom = dom(&response);
             let mut streamed = String::new();
             serde_json::write_to_string(&response, &mut streamed);
             prop_assert_eq!(&streamed, &dom);

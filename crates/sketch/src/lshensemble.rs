@@ -519,8 +519,8 @@ impl LshEnsemble {
 
     /// Reference implementation of the pre-optimization top-k query: score
     /// every indexed signature with [`MinHash::containment_in`], sort, and
-    /// truncate. Kept for the estimator-parity tests and as the in-process
-    /// baseline of the throughput benchmarks; production queries use
+    /// truncate. Kept as the oracle of the estimator-parity tests and of
+    /// the benchmark's recall metric; production queries use
     /// [`query_top_k`](Self::query_top_k).
     pub fn query_top_k_brute(&self, query: &MinHash, top_k: usize) -> Vec<(u64, f64)> {
         let mut results: Vec<(u64, f64)> = self

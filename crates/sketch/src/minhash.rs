@@ -11,14 +11,15 @@
 //!
 //! * [`SketchScheme::Classic`] — `k` independent hash functions; every item
 //!   is mixed `k` times, so a signature costs `O(n·k)`. This is the
-//!   textbook construction the seed implementation used.
+//!   textbook construction, kept as the estimator reference and for the
+//!   Aurum-style baseline profiler.
 //! * [`SketchScheme::OnePermutation`] — one-permutation hashing with
 //!   optimal densification (Li, Owen & Zhang 2012; Shrivastava 2017): every
 //!   item is hashed once and routed to one of `k` bins, and empty bins are
 //!   filled by borrowing from hashed non-empty bins. A signature costs
 //!   `O(n + k)`, which at the paper's 512-hash profiler setting removes the
-//!   dominant profiling cost. This is the CMDL default
-//!   (`CmdlConfig::sketch_scheme`).
+//!   dominant profiling cost. This is the construction the CMDL profiler
+//!   uses.
 //!
 //! Both schemes produce signatures with the same layout and estimators, but
 //! signatures are only comparable when built by hashers with the same
@@ -66,8 +67,7 @@ impl MinHasher {
         Self::with_scheme(num_hashes, seed, SketchScheme::OnePermutation)
     }
 
-    /// Create a hasher with an explicit scheme.
-    pub fn with_scheme(num_hashes: usize, seed: u64, scheme: SketchScheme) -> Self {
+    fn with_scheme(num_hashes: usize, seed: u64, scheme: SketchScheme) -> Self {
         assert!(num_hashes > 0, "MinHasher requires at least one hash");
         let seeds = match scheme {
             SketchScheme::Classic => {
