@@ -753,7 +753,7 @@ impl Cmdl {
                 1.0,
             );
             profiled.column_ids.push(profile.id);
-            profiled.profiles.insert(profile.id, profile);
+            profiled.profiles.insert(profile.id, Arc::new(profile));
         }
         self.generation += 1;
         self.maybe_compact();
@@ -814,7 +814,7 @@ impl Cmdl {
             indexes.ingest_joint(&profile, model.embed(&profile.solo));
         }
         profiled.doc_ids.push(id);
-        profiled.profiles.insert(id, profile);
+        profiled.profiles.insert(id, Arc::new(profile));
         self.generation += 1;
         self.maybe_compact();
         Ok(doc_idx)
@@ -1018,17 +1018,16 @@ impl Cmdl {
                     .unwrap_or(false)
             })
             .collect();
-        if affected.is_empty() {
-            return;
-        }
-        // Clone the statistics once so the per-profile mutation below does
-        // not alias the borrow (flips are rare; this is off the hot path).
-        let df = profiled.doc_df.clone();
+        // Only the re-derived documents are copied out of the profiles this
+        // generation shares with pinned snapshots.
+        let ProfiledLake {
+            profiles, doc_df, ..
+        } = profiled;
         for id in affected {
-            let Some(profile) = profiled.profiles.get_mut(&id) else {
+            let Some(profile) = profiles.get_mut(&id).map(Arc::make_mut) else {
                 continue;
             };
-            profiler.refresh_document_content(profile, &df);
+            profiler.refresh_document_content(profile, doc_df);
             indexes.reindex_document_content(profile);
             if let Some(model) = joint {
                 indexes.ingest_joint(profile, model.embed(&profile.solo));
@@ -1468,6 +1467,51 @@ mod tests {
         assert!(cmdl.generation() > snap.generation);
         assert!(cmdl.profiled.lake.table("Drug_Recalls").is_some());
         assert!(cmdl.profiled.lake.table("Dosages").is_none());
+    }
+
+    #[test]
+    fn new_generation_shares_untouched_profiles() {
+        // Five documents, three of them mentioning "thymidylate": its
+        // document-frequency ratio sits exactly at the 0.6 keep bound, so a
+        // sixth mention drops it and re-derives those three documents.
+        let mut lake = DataLake::new("flip");
+        lake.add_table(Table::new(
+            "Drugs",
+            vec![cmdl_datalake::Column::from_texts(
+                "Drug",
+                ["Pemetrexed", "Febuxostat", "Geneticin"],
+            )],
+        ));
+        for (title, text) in [
+            ("a", "thymidylate synthase inhibition by pemetrexed"),
+            ("b", "thymidylate metabolism in leukemia cells"),
+            ("c", "thymidylate kinase structure"),
+            ("d", "febuxostat lowers uric acid"),
+            ("e", "geneticin selects resistant clones"),
+        ] {
+            lake.add_document(Document::new(title, "PubMed", text));
+        }
+        let mut cmdl = Cmdl::build(lake, CmdlConfig::fast());
+        let pinned = cmdl.snapshot();
+        cmdl.ingest_document(Document::new(
+            "f",
+            "PubMed",
+            "thymidylate depletion arrests replication",
+        ))
+        .unwrap();
+
+        let rederived: HashSet<DeId> = pinned.profiled.doc_ids[..3].iter().copied().collect();
+        assert_eq!(pinned.profiled.len() + 1, cmdl.profiled.len());
+        for (id, old) in &pinned.profiled.profiles {
+            let new = &cmdl.profiled.profiles[id];
+            if rederived.contains(id) {
+                assert!(!Arc::ptr_eq(old, new), "{} was re-derived", old.name);
+                assert!(old.content.contains("thymidylate"));
+                assert!(!new.content.contains("thymidylate"));
+            } else {
+                assert!(Arc::ptr_eq(old, new), "{} should be shared", old.name);
+            }
+        }
     }
 
     #[test]

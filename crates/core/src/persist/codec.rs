@@ -21,6 +21,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use rayon::prelude::*;
@@ -38,8 +39,11 @@ const PROFILE_SHARDS: usize = 8;
 /// Encode `profiled` into the sharded section payload. Shards are ordered
 /// by element id, so the bytes are deterministic for equal catalogs.
 pub fn encode_profiled(profiled: &ProfiledLake) -> Vec<u8> {
-    let mut entries: Vec<(DeId, &DeProfile)> =
-        profiled.profiles.iter().map(|(id, p)| (*id, p)).collect();
+    let mut entries: Vec<(DeId, &DeProfile)> = profiled
+        .profiles
+        .iter()
+        .map(|(id, p)| (*id, &**p))
+        .collect();
     entries.sort_unstable_by_key(|(id, _)| *id);
     let shard_len = entries.len().div_ceil(PROFILE_SHARDS).max(1);
     let chunks: Vec<&[(DeId, &DeProfile)]> = entries.chunks(shard_len).collect();
@@ -136,7 +140,7 @@ pub fn decode_profiled(bytes: &[u8]) -> Result<ProfiledLake, PersistError> {
 
     let mut profiles = HashMap::with_capacity(decoded_shards.iter().map(Vec::len).sum());
     for shard in decoded_shards {
-        profiles.extend(shard);
+        profiles.extend(shard.into_iter().map(|(id, p)| (id, Arc::new(p))));
     }
     Ok(ProfiledLake {
         lake,

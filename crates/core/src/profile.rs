@@ -96,8 +96,11 @@ impl DeProfile {
 pub struct ProfiledLake {
     /// The underlying lake.
     pub lake: DataLake,
-    /// Profiles keyed by element id.
-    pub profiles: HashMap<DeId, DeProfile>,
+    /// Profiles keyed by element id. Each profile is reference-counted so
+    /// that copying the lake for a new catalog generation copies one
+    /// pointer per element: generations share every profile a mutation did
+    /// not touch, and a writer replaces only the profiles it re-derives.
+    pub profiles: HashMap<DeId, Arc<DeProfile>>,
     /// Document element ids in document order.
     pub doc_ids: Vec<DeId>,
     /// Column element ids in lake order.
@@ -115,7 +118,7 @@ pub struct ProfiledLake {
 impl ProfiledLake {
     /// Profile lookup.
     pub fn profile(&self, id: DeId) -> Option<&DeProfile> {
-        self.profiles.get(&id)
+        self.profiles.get(&id).map(Arc::as_ref)
     }
 
     /// Number of profiled elements.
@@ -130,18 +133,18 @@ impl ProfiledLake {
 
     /// Carve a shard-local profiled lake out of this one: the given
     /// sub-lake (whose element ids are a subset of this lake's — the shard
-    /// router preserves global ids when it splits the lake) paired with
-    /// clones of the matching profiles, and — deliberately — the *full*
+    /// router preserves global ids when it splits the lake) sharing the
+    /// matching profiles, and — deliberately — the *full*
     /// corpus document-frequency statistics. Every shard filters documents
     /// against the global corpus DF, so a shard-local profile is
     /// bit-identical to the one a single unpartitioned build produces.
     pub fn partition_for(&self, lake: DataLake) -> ProfiledLake {
         let column_ids: Vec<DeId> = lake.column_ids().map(|(id, _)| id).collect();
         let doc_ids: Vec<DeId> = lake.document_ids().map(|(id, _)| id).collect();
-        let profiles: HashMap<DeId, DeProfile> = column_ids
+        let profiles: HashMap<DeId, Arc<DeProfile>> = column_ids
             .iter()
             .chain(doc_ids.iter())
-            .filter_map(|id| self.profiles.get(id).map(|p| (*id, p.clone())))
+            .filter_map(|id| self.profiles.get(id).map(|p| (*id, Arc::clone(p))))
             .collect();
         ProfiledLake {
             lake,
@@ -298,7 +301,7 @@ impl Profiler {
         let column_ids: Vec<DeId> = column_profiles.iter().map(|p| p.id).collect();
         let doc_ids: Vec<DeId> = doc_profiles.iter().map(|p| p.id).collect();
         for p in column_profiles.into_iter().chain(doc_profiles) {
-            profiles.insert(p.id, p);
+            profiles.insert(p.id, Arc::new(p));
         }
 
         ProfiledLake {

@@ -45,7 +45,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::discovery::Cmdl;
 use crate::persist::{decode_frames, encode_frame, WalRecord};
-use crate::snapshot::CatalogSnapshot;
+use crate::snapshot::{publish, CatalogSnapshot};
 
 /// One replicated mutation. `Wal` carries the exact record the writer's
 /// WAL path logs (or would log, for an in-memory writer); `Compact` covers
@@ -410,12 +410,12 @@ impl Replica {
             self.next_seq.store(next + 1, Ordering::SeqCst);
             applied += 1;
         }
-        if applied > 0 {
+        let retired = (applied > 0).then(|| {
             self.applied_batches.fetch_add(applied, Ordering::SeqCst);
-            let snapshot = catalog.snapshot();
-            *self.published.write().unwrap_or_else(|p| p.into_inner()) = snapshot;
-        }
+            publish(&self.published, catalog.snapshot())
+        });
         drop(catalog);
+        drop(retired);
         let gap = {
             let pending = self.pending.lock().unwrap_or_else(|p| p.into_inner());
             pending
@@ -487,13 +487,17 @@ impl Replica {
     /// buffer, and returns the replica to Healthy.
     pub(crate) fn install_resynced(&self, catalog: Cmdl, next_seq: u64) {
         let snapshot = catalog.snapshot();
-        *self.catalog.lock().unwrap_or_else(|p| p.into_inner()) = catalog;
+        let retiring = std::mem::replace(
+            &mut *self.catalog.lock().unwrap_or_else(|p| p.into_inner()),
+            catalog,
+        );
         self.pending
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .clear();
         self.next_seq.store(next_seq, Ordering::SeqCst);
-        *self.published.write().unwrap_or_else(|p| p.into_inner()) = snapshot;
+        let retired = publish(&self.published, snapshot);
+        drop((retiring, retired));
         self.resyncs.fetch_add(1, Ordering::SeqCst);
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         state.health = ReplicaHealth::Healthy;

@@ -397,9 +397,9 @@ impl ShardedCmdl {
                 return Err(e);
             }
         };
-        let new_profiles: Vec<DeProfile> = (0..num_columns)
+        let new_profiles: Vec<Arc<DeProfile>> = (0..num_columns)
             .filter_map(|c| shard.profiled.lake.column_id(table_idx, c))
-            .filter_map(|id| shard.profiled.profile(id).cloned())
+            .filter_map(|id| shard.profiled.profiles.get(&id).cloned())
             .collect();
 
         let mut replica = self.lock_replica();
@@ -440,7 +440,7 @@ impl ShardedCmdl {
             .profiled
             .lake
             .document_id(local_idx)
-            .and_then(|did| guards[owner].profiled.profile(did).cloned());
+            .and_then(|did| guards[owner].profiled.profiles.get(&did).cloned());
         let mut replica = self.lock_replica();
         if let Some(profile) = &doc_profile {
             // Documents never enter the sketch indexes (column-only), but
@@ -466,11 +466,11 @@ impl ShardedCmdl {
             .get(name)
             .ok_or_else(|| CmdlError::UnknownTable(name.to_string()))?;
         let mut shard = self.lock_shard(owner);
-        let removed_profiles: Vec<DeProfile> = shard
+        let removed_profiles: Vec<Arc<DeProfile>> = shard
             .profiled
             .columns_of_table(name)
             .into_iter()
-            .filter_map(|id| shard.profiled.profile(id).cloned())
+            .filter_map(|id| shard.profiled.profiles.get(&id).cloned())
             .collect();
         let removed = shard.remove_table(name)?;
         route.table_owner.remove(name);
@@ -502,7 +502,7 @@ impl ShardedCmdl {
             .profiled
             .lake
             .document_id(local_idx)
-            .and_then(|did| guards[owner].profiled.profile(did).cloned())
+            .and_then(|did| guards[owner].profiled.profiles.get(&did).cloned())
             .ok_or(CmdlError::UnknownDocument(index))?;
         let raw = profile.raw_content.clone().unwrap_or_else(BagOfWords::new);
         guards[owner].remove_document(local_idx)?;
@@ -537,26 +537,26 @@ impl ShardedCmdl {
         for shard in guards.iter_mut() {
             shard.compact();
         }
-        let mut columns: Vec<(DeId, DeProfile)> = Vec::new();
-        let mut documents: Vec<(DeId, DeProfile)> = Vec::new();
+        let mut columns: Vec<(DeId, &DeProfile)> = Vec::new();
+        let mut documents: Vec<(DeId, &DeProfile)> = Vec::new();
         for shard in guards.iter() {
             for &id in &shard.profiled.column_ids {
                 if let Some(profile) = shard.profiled.profile(id) {
-                    columns.push((id, profile.clone()));
+                    columns.push((id, profile));
                 }
             }
             for &id in &shard.profiled.doc_ids {
                 if let Some(profile) = shard.profiled.profile(id) {
-                    documents.push((id, profile.clone()));
+                    documents.push((id, profile));
                 }
             }
         }
         columns.sort_by_key(|&(id, _)| id);
         documents.sort_by_key(|&(id, _)| id);
         let ordered: Vec<&DeProfile> = columns
-            .iter()
+            .into_iter()
+            .chain(documents)
             .map(|(_, p)| p)
-            .chain(documents.iter().map(|(_, p)| p))
             .collect();
         let mut replica = self.lock_replica();
         Arc::make_mut(&mut replica.sketch).compact_sketch_only(&ordered, &self.config);

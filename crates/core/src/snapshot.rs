@@ -13,9 +13,15 @@
 //! [`crate::query`]) or [`execute_many`](CatalogSnapshot::execute_many)
 //! against a pinned generation.
 //!
+//! Servers and replicas keep their current snapshot in an `RwLock` slot
+//! that readers clone out of. [`publish`] and [`publish_if`] are the only
+//! way a new generation enters such a slot: they swap under the write
+//! guard and hand the retired generation back, so freeing it never happens
+//! while readers wait on the lock.
+//!
 //! [`Cmdl`]: crate::discovery::Cmdl
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::config::CmdlConfig;
 use crate::ekg::Ekg;
@@ -42,8 +48,36 @@ pub struct CatalogSnapshot {
     pub profiler: Arc<Profiler>,
 }
 
+/// Store `next` in `slot` and return the value it replaced.
+///
+/// The write guard is released before this returns, so the caller drops
+/// the retired value — possibly the last reference to a whole catalog
+/// generation — while readers of `slot` go on unblocked. A poisoned slot
+/// is written anyway: it always holds a whole value.
+#[must_use = "drop the retired value once the lock is released"]
+pub fn publish<T>(slot: &RwLock<T>, next: T) -> T {
+    publish_if(slot, next, |_| true)
+}
+
+/// Like [`publish`], but only when `supersedes(current)` holds; otherwise
+/// `slot` is left alone and `next` itself is handed back. Either way the
+/// returned value is the one that lost its place, for the caller to drop
+/// outside the lock.
+#[must_use = "drop the retired value once the lock is released"]
+pub fn publish_if<T>(slot: &RwLock<T>, next: T, supersedes: impl FnOnce(&T) -> bool) -> T {
+    let mut current = slot.write().unwrap_or_else(PoisonError::into_inner);
+    if supersedes(&current) {
+        std::mem::replace(&mut *current, next)
+    } else {
+        next
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU8, Ordering};
+    use std::sync::RwLock;
+
     use cmdl_datalake::synth;
 
     use crate::config::CmdlConfig;
@@ -65,5 +99,54 @@ mod tests {
             assert_eq!(live.generation, pinned.generation);
             assert_eq!(live.hits, pinned.hits, "{} diverges", query.kind());
         }
+    }
+
+    /// A value whose `Drop` records whether the slot it lived in could be
+    /// read at that moment (1 = free, 2 = still write-locked).
+    struct Probe(u64);
+
+    static SLOT: RwLock<Probe> = RwLock::new(Probe(0));
+    static SLOT_FREE_AT_DROP: AtomicU8 = AtomicU8::new(0);
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            if self.0 > 0 {
+                let free = if SLOT.try_read().is_ok() { 1 } else { 2 };
+                SLOT_FREE_AT_DROP.store(free, Ordering::SeqCst);
+            }
+        }
+    }
+
+    #[test]
+    fn retired_values_are_dropped_outside_the_lock() {
+        // Replaces the silent `Probe(0)`.
+        drop(super::publish(&SLOT, Probe(1)));
+
+        SLOT_FREE_AT_DROP.store(0, Ordering::SeqCst);
+        drop(super::publish(&SLOT, Probe(2)));
+        assert_eq!(
+            SLOT_FREE_AT_DROP.load(Ordering::SeqCst),
+            1,
+            "replaced value"
+        );
+
+        // A rejected candidate is handed back, also outside the lock.
+        SLOT_FREE_AT_DROP.store(0, Ordering::SeqCst);
+        drop(super::publish_if(&SLOT, Probe(1), |current| current.0 <= 1));
+        assert_eq!(
+            SLOT_FREE_AT_DROP.load(Ordering::SeqCst),
+            1,
+            "rejected value"
+        );
+        assert_eq!(SLOT.read().unwrap().0, 2);
+
+        SLOT_FREE_AT_DROP.store(0, Ordering::SeqCst);
+        drop(super::publish_if(&SLOT, Probe(3), |current| current.0 <= 3));
+        assert_eq!(
+            SLOT_FREE_AT_DROP.load(Ordering::SeqCst),
+            1,
+            "superseded value"
+        );
+        assert_eq!(SLOT.read().unwrap().0, 3);
     }
 }

@@ -45,6 +45,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use cmdl_core::replicate::{DeltaRecord, ReplicaStatus, ReplicationConfig, ReplicationGroup};
+use cmdl_core::snapshot::{publish, publish_if};
 use cmdl_core::{
     CatalogSnapshot, Cmdl, CmdlConfig, CmdlError, CmdlStats, DiscoveryQuery, ErrorCode,
     QueryResponse, ShardedCmdl, ShardedSnapshot, WalRecord,
@@ -776,11 +777,7 @@ impl SingleGate {
             .lock()
             .unwrap_or_else(|poison| poison.into_inner());
         self.drain_queue(&mut cmdl);
-        let snapshot = cmdl.snapshot();
-        *self
-            .published
-            .write()
-            .unwrap_or_else(|poison| poison.into_inner()) = snapshot;
+        drop(publish(&self.published, cmdl.snapshot()));
     }
 
     /// Take everything the drains have fed since the last take (empty when
@@ -817,12 +814,8 @@ impl SingleGate {
             }
             self.wedged.store(false, Ordering::SeqCst);
         }
-        let snapshot = cmdl.snapshot();
-        let generation = snapshot.generation;
-        *self
-            .published
-            .write()
-            .unwrap_or_else(|poison| poison.into_inner()) = snapshot;
+        let generation = cmdl.generation();
+        drop(publish(&self.published, cmdl.snapshot()));
         ServiceResponse::success(ResponsePayload::Recovered {
             generation,
             was_wedged,
@@ -850,7 +843,9 @@ impl SingleGate {
                 result: Arc::clone(&slot),
             });
 
-        {
+        // The generation this drain retires is freed after the writer gate
+        // is released too, so queued writers do not wait for it either.
+        let retired = {
             let mut cmdl = self
                 .writer
                 .lock()
@@ -860,15 +855,12 @@ impl SingleGate {
                 .lock()
                 .unwrap_or_else(|poison| poison.into_inner())
                 .is_some();
-            if !already_done {
+            (!already_done).then(|| {
                 self.drain_queue(&mut cmdl);
-                let snapshot = cmdl.snapshot();
-                *self
-                    .published
-                    .write()
-                    .unwrap_or_else(|poison| poison.into_inner()) = snapshot;
-            }
-        }
+                publish(&self.published, cmdl.snapshot())
+            })
+        };
+        drop(retired);
 
         let response = slot
             .lock()
@@ -1060,11 +1052,7 @@ impl SingleGate {
                 .lock()
                 .unwrap_or_else(|poison| poison.into_inner());
             self.drain_queue(&mut cmdl);
-            let snapshot = cmdl.snapshot();
-            *self
-                .published
-                .write()
-                .unwrap_or_else(|poison| poison.into_inner()) = snapshot;
+            drop(publish(&self.published, cmdl.snapshot()));
             *self
                 .recording
                 .lock()
@@ -1141,14 +1129,11 @@ impl SingleGate {
                 return self.abort_reconfigure(ServiceError::from(error));
             }
         }
-        *cmdl = shadow;
-        let snapshot = cmdl.snapshot();
-        let generation = snapshot.generation;
-        *self
-            .published
-            .write()
-            .unwrap_or_else(|poison| poison.into_inner()) = snapshot;
+        let retiring = std::mem::replace(&mut *cmdl, shadow);
+        let generation = cmdl.generation();
+        let retired = publish(&self.published, cmdl.snapshot());
         drop(cmdl);
+        drop((retiring, retired));
         self.reconfiguring.store(false, Ordering::SeqCst);
         ServiceResponse::success(ResponsePayload::Reconfigured { generation })
     }
@@ -1284,12 +1269,7 @@ impl ReplicatedGate {
                 .lock()
                 .unwrap_or_else(|poison| poison.into_inner());
             self.single.drain_queue(&mut cmdl);
-            let snapshot = cmdl.snapshot();
-            *self
-                .single
-                .published
-                .write()
-                .unwrap_or_else(|poison| poison.into_inner()) = snapshot;
+            drop(publish(&self.single.published, cmdl.snapshot()));
             // Ship what that drain fed (lock order writer → feed holds —
             // the ship lock is already ours) so the stream position read
             // below matches the clone.
@@ -1355,13 +1335,10 @@ impl ShardedGate {
             // Publish monotonically: a slower writer must not clobber a
             // newer generation another writer already published.
             let snapshot = self.router.snapshot();
-            let mut published = self
-                .published
-                .write()
-                .unwrap_or_else(|poison| poison.into_inner());
-            if snapshot.generation >= published.generation {
-                *published = snapshot;
-            }
+            let generation = snapshot.generation;
+            drop(publish_if(&self.published, snapshot, |current| {
+                generation >= current.generation
+            }));
         }
         response
     }

@@ -13,12 +13,22 @@
 //! Results are compared modulo reordering within exact score ties (element
 //! ids differ between the two systems, so equal-scored elements may be
 //! enumerated in a different order; see `common::assert_result_parity`).
+//!
+//! The same file holds the pinned-snapshot property: a snapshot taken before
+//! any writer step (ingest, remove, compact, a document-frequency flip)
+//! answers the query battery exactly as before the step, and its profiles
+//! keep their content. Generations share unchanged profiles, so this is what
+//! proves a writer never edits a profile a reader can still see.
 
 mod common;
 
-use cmdl::core::{Cmdl, CmdlConfig, QueryBuilder, SearchMode};
-use cmdl::datalake::{synth, DataLake, Document, Table};
+use std::sync::OnceLock;
+
+use cmdl::core::{CatalogSnapshot, Cmdl, CmdlConfig, QueryBuilder, SearchMode};
+use cmdl::datalake::{synth, DataLake, DeId, Document, Table};
+use cmdl::text::BagOfWords;
 use common::{assert_result_parity, lake_of, ranked};
+use proptest::prelude::*;
 
 fn parity_config() -> synth::PharmaConfig {
     if std::env::var("PARITY_SCALE").as_deref() == Ok("bench") {
@@ -65,10 +75,12 @@ fn query_workload(tables: &[Table], documents: &[Document]) -> Vec<String> {
     queries
 }
 
-/// Collect every discovery surface of a system as comparable
+/// Collect every discovery surface of a catalog generation as comparable
 /// `(tag, results)` pairs.
-fn discovery_surface(cmdl: &Cmdl, queries: &[String]) -> Vec<(String, Vec<(String, f64)>)> {
-    let snap = cmdl.snapshot();
+fn discovery_surface(
+    snap: &CatalogSnapshot,
+    queries: &[String],
+) -> Vec<(String, Vec<(String, f64)>)> {
     let mut surfaces = Vec::new();
     for (qi, query) in queries.iter().enumerate() {
         for (mode, mode_name) in [
@@ -79,36 +91,40 @@ fn discovery_surface(cmdl: &Cmdl, queries: &[String]) -> Vec<(String, Vec<(Strin
             let keyword = QueryBuilder::keyword(query).mode(mode).top_k(10).build();
             surfaces.push((
                 format!("content[{qi}][{mode_name}]"),
-                ranked(&snap, &keyword),
+                ranked(snap, &keyword),
             ));
         }
         let cross_modal = QueryBuilder::cross_modal_text(query).top_k(5).build();
-        surfaces.push((format!("cross_modal[{qi}]"), ranked(&snap, &cross_modal)));
+        surfaces.push((format!("cross_modal[{qi}]"), ranked(snap, &cross_modal)));
     }
-    let mut table_names: Vec<String> = cmdl
-        .profiled
-        .lake
-        .tables()
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| !cmdl.profiled.lake.is_table_removed(i))
-        .map(|(_, t)| t.name.clone())
-        .collect();
-    table_names.sort();
-    for name in &table_names {
+    for name in &live_tables(snap) {
         let joins = QueryBuilder::joinable(name).top_k(5).build();
-        surfaces.push((format!("joinable[{name}]"), ranked(&snap, &joins)));
+        surfaces.push((format!("joinable[{name}]"), ranked(snap, &joins)));
         let unions = QueryBuilder::unionable(name).top_k(5).build();
-        surfaces.push((format!("unionable[{name}]"), ranked(&snap, &unions)));
+        surfaces.push((format!("unionable[{name}]"), ranked(snap, &unions)));
     }
     let pkfk = QueryBuilder::pkfk().top_k(usize::MAX).build();
-    surfaces.push(("pkfk".to_string(), ranked(&snap, &pkfk)));
+    surfaces.push(("pkfk".to_string(), ranked(snap, &pkfk)));
     surfaces
 }
 
+/// Names of the live tables of a generation, sorted.
+fn live_tables(snap: &CatalogSnapshot) -> Vec<String> {
+    let lake = &snap.profiled.lake;
+    let mut names: Vec<String> = lake
+        .tables()
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !lake.is_table_removed(i))
+        .map(|(_, t)| t.name.clone())
+        .collect();
+    names.sort();
+    names
+}
+
 fn assert_systems_agree(batch: &Cmdl, incremental: &Cmdl, queries: &[String]) {
-    let batch_surface = discovery_surface(batch, queries);
-    let incremental_surface = discovery_surface(incremental, queries);
+    let batch_surface = discovery_surface(&batch.snapshot(), queries);
+    let incremental_surface = discovery_surface(&incremental.snapshot(), queries);
     assert_eq!(batch_surface.len(), incremental_surface.len());
     for ((tag_a, results_a), (tag_b, results_b)) in
         batch_surface.iter().zip(incremental_surface.iter())
@@ -190,4 +206,140 @@ fn removal_then_compact_matches_batch_of_survivors() {
     assert_eq!(batch.profiled.len(), incremental.profiled.len());
     let queries = query_workload(&surviving_tables, &surviving_docs);
     assert_systems_agree(&batch, &incremental, &queries);
+}
+
+/// The full lake built once, with its source data and query battery.
+struct PinnedBase {
+    /// The generation every proptest case starts its writer from.
+    snapshot: CatalogSnapshot,
+    tables: Vec<Table>,
+    documents: Vec<Document>,
+    queries: Vec<String>,
+}
+
+fn pinned_base() -> &'static PinnedBase {
+    static BASE: OnceLock<PinnedBase> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let (lake, tables, documents) = full_lake();
+        PinnedBase {
+            queries: query_workload(&tables, &documents),
+            snapshot: Cmdl::build(lake, CmdlConfig::fast()).snapshot(),
+            tables,
+            documents,
+        }
+    })
+}
+
+/// Apply one writer step decoded from `op`; returns its name for failure
+/// messages, or `None` when there was nothing to remove. A
+/// document-frequency flip step ingests one-term documents on the most
+/// frequent kept term until its ratio crosses the keep bound, which
+/// re-derives every document holding it.
+fn writer_step(cmdl: &mut Cmdl, step: usize, op: u32) -> Option<String> {
+    let PinnedBase {
+        tables, documents, ..
+    } = pinned_base();
+    let pick = (op >> 3) as usize;
+    match op % 6 {
+        0 => {
+            let mut table = tables[pick % tables.len()].clone();
+            table.name = format!("{}_{step}", table.name);
+            cmdl.ingest_table(table).unwrap();
+            Some("ingest table".into())
+        }
+        1 => {
+            cmdl.ingest_document(documents[pick % documents.len()].clone())
+                .unwrap();
+            Some("ingest document".into())
+        }
+        2 => {
+            let live = live_tables(&cmdl.snapshot());
+            let name = live.get(pick % live.len().max(1))?;
+            cmdl.remove_table(name).unwrap();
+            Some(format!("remove table {name}"))
+        }
+        3 => {
+            let lake = &cmdl.profiled.lake;
+            let live: Vec<usize> = (0..lake.num_documents())
+                .filter(|&i| {
+                    lake.document_id(i)
+                        .is_some_and(|id| cmdl.profiled.profile(id).is_some())
+                })
+                .collect();
+            let index = *live.get(pick % live.len().max(1))?;
+            cmdl.remove_document(index).unwrap();
+            Some(format!("remove document {index}"))
+        }
+        4 => {
+            cmdl.compact();
+            Some("compact".into())
+        }
+        _ => {
+            let df = &cmdl.profiled.doc_df;
+            let (term, _) = df
+                .iter()
+                .filter(|&(term, _)| df.keep(term))
+                .map(|(term, count)| (term.to_string(), count))
+                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))?;
+            for i in 0..documents.len() * 2 {
+                if !cmdl.profiled.doc_df.keep(&term) {
+                    break;
+                }
+                let title = format!("flip-{step}-{i}");
+                cmdl.ingest_document(Document::new(title, "synthetic", &term))
+                    .unwrap();
+            }
+            Some(format!("flip {term}"))
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A snapshot pinned before a writer step is frozen through it: same
+    /// answers to the whole query battery, same profile content.
+    #[test]
+    fn pinned_snapshots_stay_frozen_through_every_mutation(
+        ops in prop::collection::vec(0u32..u32::MAX, 4..8),
+    ) {
+        let PinnedBase { snapshot, queries, .. } = pinned_base();
+        let mut cmdl = Cmdl::from_snapshot(snapshot.clone());
+        for (step, &op) in ops.iter().enumerate() {
+            let pinned = cmdl.snapshot();
+            let answers = discovery_surface(&pinned, queries);
+            let content: Vec<(DeId, BagOfWords)> = pinned
+                .profiled
+                .profiles
+                .iter()
+                .map(|(id, p)| (*id, p.content.clone()))
+                .collect();
+
+            let Some(name) = writer_step(&mut cmdl, step, op) else {
+                continue;
+            };
+
+            prop_assert!(
+                discovery_surface(&pinned, queries) == answers,
+                "step {step} ({name}) changed a pinned answer"
+            );
+            for (id, before) in &content {
+                prop_assert!(
+                    &pinned.profiled.profile(*id).unwrap().content == before,
+                    "step {step} ({name}) changed pinned profile {id:?}"
+                );
+            }
+            if name.starts_with("flip") {
+                // The flip really re-derived a document the snapshot still
+                // holds in its old form.
+                prop_assert!(
+                    pinned.profiled.doc_ids.iter().any(|&id| {
+                        cmdl.profiled.profile(id).map(|p| &p.content)
+                            != pinned.profiled.profile(id).map(|p| &p.content)
+                    }),
+                    "step {step} ({name}) re-derived no document"
+                );
+            }
+        }
+    }
 }
