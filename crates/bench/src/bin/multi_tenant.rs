@@ -35,8 +35,7 @@ const VICTIM_QUERIES_PER_THREAD: usize = 150;
 const ROUNDS: usize = 3;
 /// Client backoff after a 429: jittered exponential from base to cap
 /// (deterministically seeded per worker), reset on the first admitted
-/// request — the same policy the replication shipper uses on a failed
-/// delta ship.
+/// request.
 const SHED_BACKOFF_BASE: Duration = Duration::from_micros(250);
 const SHED_BACKOFF_CAP: Duration = Duration::from_millis(2);
 

@@ -43,7 +43,12 @@ pub enum CrossModalStrategy {
 }
 
 /// System-wide configuration.
+///
+/// Deserialization rejects unknown keys, so a config that still names a
+/// removed or misspelled knob fails loudly instead of silently running
+/// on defaults.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CmdlConfig {
     /// Number of MinHash permutations per signature.
     pub minhash_hashes: usize,
@@ -125,16 +130,6 @@ pub struct CmdlConfig {
     pub shards: usize,
     /// The partition policy used when `shards > 1`.
     pub shard_policy: ShardPolicy,
-    /// Number of read replicas the service layer ships delta batches to.
-    /// `0` (the default) serves reads from the writer's own snapshot;
-    /// `N > 0` builds a
-    /// [`ReplicationGroup`](crate::replicate::ReplicationGroup) of N
-    /// replicas and routes reads to the ones within the lag bound.
-    /// Mutually exclusive with `shards > 1` (sharding wins).
-    pub replicas: usize,
-    /// Maximum generations a read replica may trail the writer and still
-    /// serve reads; beyond it, reads fall back to the writer snapshot.
-    pub replica_lag_bound: u64,
 }
 
 impl Default for CmdlConfig {
@@ -170,8 +165,6 @@ impl Default for CmdlConfig {
             seed: 0xC3D1,
             shards: 1,
             shard_policy: ShardPolicy::HashId,
-            replicas: 0,
-            replica_lag_bound: 8,
         }
     }
 }
@@ -224,5 +217,17 @@ mod tests {
         let back: CmdlConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.minhash_hashes, c.minhash_hashes);
         assert_eq!(back.hard_sampling, c.hard_sampling);
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_by_name() {
+        let json = serde_json::to_string(&CmdlConfig::fast()).unwrap();
+        let with_extra = format!("{},\"replicas\":2}}", json.trim_end_matches('}'));
+        let error = serde_json::from_str::<CmdlConfig>(&with_extra).unwrap_err();
+        assert!(error.to_string().contains("`replicas`"), "{error}");
+        assert_eq!(
+            serde_json::from_str::<CmdlConfig>(&json).unwrap(),
+            CmdlConfig::fast()
+        );
     }
 }

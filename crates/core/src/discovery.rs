@@ -311,11 +311,6 @@ impl Cmdl {
                 .map(Vec::as_slice)
                 .ok_or_else(|| PersistError::Corrupt(format!("segment missing section '{name}'")))
         }
-        fn parse<T: Deserialize>(name: &str, bytes: &[u8]) -> Result<T, PersistError> {
-            serde::from_bin_bytes(bytes).map_err(|e| {
-                PersistError::Corrupt(format!("section '{name}' failed to decode: {e}"))
-            })
-        }
         // The profiled lake and index catalog dwarf the other sections
         // (token bags and posting lists scale with the corpus), so they
         // decode concurrently — the profiled section fanning its shards
@@ -324,7 +319,7 @@ impl Cmdl {
             || decode_profiled(section(segment, "profiled")?),
             || parse::<IndexCatalog>("indexes", section(segment, "indexes")?),
         );
-        let config: CmdlConfig = parse("config", section(segment, "config")?)?;
+        let config = decode_config(section(segment, "config")?)?;
         let profiled = profiled?;
         let mut indexes = indexes?;
         let ekg: Ekg = parse("ekg", section(segment, "ekg")?)?;
@@ -347,11 +342,9 @@ impl Cmdl {
     }
 
     /// Re-apply one WAL record through the ordinary mutation path (the
-    /// persist handle is not yet installed, so nothing is re-logged).
-    /// Crate-visible so a read replica can apply shipped delta records
-    /// through the exact same path as WAL replay (see
-    /// [`replicate`](crate::replicate)).
-    pub(crate) fn apply_wal_record(&mut self, record: WalRecord) -> Result<(), CmdlError> {
+    /// persist handle is not yet installed, so nothing is re-logged). Open
+    /// and panic reconciliation both replay the WAL tail through here.
+    fn apply_wal_record(&mut self, record: WalRecord) -> Result<(), CmdlError> {
         match record {
             WalRecord::IngestTable(table) => self.ingest_table(table).map(|_| ()),
             WalRecord::IngestDocument(document) => self.ingest_document(document).map(|_| ()),
@@ -564,9 +557,8 @@ impl Cmdl {
     /// snapshot's `Arc`s (so construction is O(1)); the first mutation on
     /// either side copies-on-write, exactly as with a concurrent reader.
     /// The clone is in-memory only (no persist handle) and carries no
-    /// training artifacts — it is a *serving* catalog. This is how a read
-    /// replica bootstraps to bit-parity with the writer before delta
-    /// batches start flowing.
+    /// training artifacts — it is a *serving* catalog that answers exactly
+    /// as the snapshot does until its first mutation.
     pub fn from_snapshot(snapshot: CatalogSnapshot) -> Self {
         let profiler = Arc::clone(&snapshot.profiler);
         Self {
@@ -582,63 +574,6 @@ impl Cmdl {
             persist: None,
             recovery: None,
         }
-    }
-
-    /// Build an independent, in-memory copy of this catalog for a replica
-    /// resync.
-    ///
-    /// For a persistent catalog this goes through the durability layer —
-    /// load the newest segment, then replay the WAL tail *read-only*
-    /// (decoding the frames directly rather than opening the WAL, which
-    /// would truncate a torn tail out from under the live writer) — so the
-    /// resync path exercises exactly the state a crash recovery would
-    /// produce. Records at or below the segment's LSN floor, `Abort`
-    /// markers, and aborted records are skipped, mirroring
-    /// [`PersistHandle::open`]. For an in-memory catalog it falls back to
-    /// [`from_snapshot`](Self::from_snapshot).
-    ///
-    /// The copy never gets a persist handle: replicas serve reads and must
-    /// not re-log.
-    pub fn resync_clone(&self) -> Result<Self, CmdlError> {
-        let Some(handle) = self.persist.as_ref() else {
-            return Ok(Self::from_snapshot(self.snapshot()));
-        };
-        let io = handle.io().clone();
-        let dir = handle.dir().to_path_buf();
-        let segment = load_segment(&io, &dir)
-            .map_err(persist_err)?
-            .ok_or_else(|| CmdlError::Persist("resync found no manifest".into()))?;
-        let mut system = Self::restore_from_segment(&segment).map_err(persist_err)?;
-        let wal_path = dir.join(Wal::FILE_NAME);
-        if io.exists(&wal_path) {
-            let bytes = io.read(&wal_path).map_err(persist_err)?;
-            let (frames, _consumed) = decode_frames(&bytes);
-            let mut records = Vec::with_capacity(frames.len());
-            for (lsn, payload) in frames {
-                let record: WalRecord = serde::from_bin_bytes(&payload).map_err(|e| {
-                    CmdlError::Persist(format!("resync wal decode failed at lsn {lsn}: {e}"))
-                })?;
-                records.push((lsn, record));
-            }
-            let aborted: HashSet<u64> = records
-                .iter()
-                .filter_map(|(_, record)| match record {
-                    WalRecord::Abort { lsn } => Some(*lsn),
-                    _ => None,
-                })
-                .collect();
-            let floor = segment.manifest.last_applied_lsn;
-            for (lsn, record) in records {
-                if lsn <= floor
-                    || aborted.contains(&lsn)
-                    || matches!(record, WalRecord::Abort { .. })
-                {
-                    continue;
-                }
-                system.apply_wal_record(record)?;
-            }
-        }
-        Ok(system)
     }
 
     /// Generate the weakly-supervised training dataset, train the joint
@@ -1179,6 +1114,27 @@ impl Cmdl {
     }
 }
 
+fn parse<T: Deserialize>(name: &str, bytes: &[u8]) -> Result<T, PersistError> {
+    serde::from_bin_bytes(bytes)
+        .map_err(|e| PersistError::Corrupt(format!("section '{name}' failed to decode: {e}")))
+}
+
+/// Bytes a segment's `config` section carries past the current
+/// [`CmdlConfig`] when it was written while the config still had its two
+/// read-replica fields (replica count and lag bound, 8 bytes each).
+const RETIRED_CONFIG_TAIL: usize = 16;
+
+/// Decode a segment's `config` section. A section from before the two
+/// replication fields were removed decodes with their bytes dropped:
+/// nothing reads them, and failing the load would degrade the directory
+/// to rebuild-from-source and set its WAL aside.
+fn decode_config(bytes: &[u8]) -> Result<CmdlConfig, PersistError> {
+    parse("config", bytes).or_else(|error| match bytes.len().checked_sub(RETIRED_CONFIG_TAIL) {
+        Some(len) => parse("config", &bytes[..len]).map_err(|_| error),
+        None => Err(error),
+    })
+}
+
 /// Classify a [`PersistError`] into the typed error surface.
 fn persist_err(e: PersistError) -> CmdlError {
     CmdlError::Persist(e.to_string())
@@ -1192,6 +1148,29 @@ mod tests {
     fn system() -> Cmdl {
         let lake = synth::pharma::generate(&synth::PharmaConfig::tiny()).lake;
         Cmdl::build(lake, CmdlConfig::fast())
+    }
+
+    #[test]
+    fn config_sections_from_before_the_replica_fields_still_decode() {
+        let config = CmdlConfig {
+            shards: 3,
+            ..CmdlConfig::fast()
+        };
+        let current = serde::to_bin_bytes(&config);
+        assert_eq!(decode_config(&current).unwrap(), config);
+        // The retired fields were the last two, so an old section is the
+        // current bytes plus two 8-byte integers.
+        let mut retired = current.clone();
+        retired.extend_from_slice(&2u64.to_le_bytes());
+        retired.extend_from_slice(&8u64.to_le_bytes());
+        assert_eq!(decode_config(&retired).unwrap(), config);
+        // Any other tail is still corruption.
+        let mut torn = current;
+        torn.extend_from_slice(&[0; 8]);
+        assert!(matches!(
+            decode_config(&torn),
+            Err(PersistError::Corrupt(reason)) if reason.contains("8 trailing bytes")
+        ));
     }
 
     /// Execute a query against the current generation and keep the hits.

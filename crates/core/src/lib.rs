@@ -54,7 +54,6 @@ pub mod joint;
 pub mod persist;
 pub mod profile;
 pub mod query;
-pub mod replicate;
 pub mod shard;
 pub mod snapshot;
 pub mod stats;
@@ -74,10 +73,6 @@ pub use profile::{ColumnTags, DeProfile, ElementData, ProfiledLake, Profiler};
 pub use query::{
     DiscoveryQuery, DocQuery, Hit, QueryBuilder, QueryOptions, QueryResponse, ScoreBreakdown,
     Signal, SignalContribution, SignalWeights,
-};
-pub use replicate::{
-    DeltaBatch, DeltaRecord, LinkChaos, LinkError, LinkFault, LoopbackLink, Replica, ReplicaHealth,
-    ReplicaLink, ReplicaStatus, ReplicationConfig, ReplicationGroup,
 };
 pub use shard::{ShardedCmdl, ShardedSnapshot};
 pub use snapshot::CatalogSnapshot;

@@ -704,7 +704,6 @@ impl ShardedSnapshot {
             delta_pressure: 0.0,
             wedged: false,
             reconfiguring: false,
-            replicas: Vec::new(),
         };
         for shard in &self.shards {
             let stats = shard.stats();

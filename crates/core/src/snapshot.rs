@@ -13,7 +13,7 @@
 //! [`crate::query`]) or [`execute_many`](CatalogSnapshot::execute_many)
 //! against a pinned generation.
 //!
-//! Servers and replicas keep their current snapshot in an `RwLock` slot
+//! Servers keep their current snapshot in an `RwLock` slot
 //! that readers clone out of. [`publish`] and [`publish_if`] are the only
 //! way a new generation enters such a slot: they swap under the write
 //! guard and hand the retired generation back, so freeing it never happens

@@ -10,7 +10,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::discovery::Cmdl;
 use crate::indexes::DeltaStats;
-use crate::replicate::ReplicaStatus;
 use crate::snapshot::CatalogSnapshot;
 
 /// Live entry counts of every index in the catalog.
@@ -62,10 +61,6 @@ pub struct CmdlStats {
     /// Whether a background reconfiguration is rebuilding this catalog.
     /// Like `wedged`, filled in by the service layer.
     pub reconfiguring: bool,
-    /// Per-replica status on a replicated deployment. Always empty at the
-    /// catalog layer — like `wedged`, the service fills it in, since
-    /// replication is serving-layer wiring, not snapshot state.
-    pub replicas: Vec<ReplicaStatus>,
 }
 
 impl CatalogSnapshot {
@@ -97,7 +92,6 @@ impl CatalogSnapshot {
             delta_pressure: self.indexes.delta_pressure(),
             wedged: false,
             reconfiguring: false,
-            replicas: Vec::new(),
         }
     }
 }

@@ -18,9 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cmdl_core::{
-    CmdlConfig, CmdlError, CmdlStats, DiscoveryQuery, ErrorCode, QueryResponse, ReplicaStatus,
-};
+use cmdl_core::{CmdlConfig, CmdlError, CmdlStats, DiscoveryQuery, ErrorCode, QueryResponse};
 use cmdl_datalake::{Document, Table};
 
 /// One typed service request — the unified surface over the catalog
@@ -199,10 +197,6 @@ pub struct HealthReport {
     pub wedged: bool,
     /// Whether a background reconfiguration is rebuilding this lake.
     pub reconfiguring: bool,
-    /// Per-replica health on the replicated backend (name, health state,
-    /// generation, lag, applied batches, resyncs). Empty on the single and
-    /// sharded backends.
-    pub replicas: Vec<ReplicaStatus>,
 }
 
 /// One lake's registry entry in a [`ResponsePayload::Lakes`] listing — the

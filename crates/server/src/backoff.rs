@@ -1,9 +1,8 @@
 //! The one retry policy: jittered exponential backoff.
 //!
-//! Every retry loop in the serving stack — the replication shipper, the
-//! bench clients backing off 429 sheds — pulls its delays from [`Backoff`]
-//! instead of hand-rolling a sleep, so retry behavior is tuned (and tested)
-//! in exactly one place.
+//! Every retry loop — today the bench clients backing off 429 sheds —
+//! pulls its delays from [`Backoff`] instead of hand-rolling a sleep, so
+//! retry behavior is tuned (and tested) in exactly one place.
 //!
 //! The jitter is the "equal jitter" variant: each delay is drawn uniformly
 //! from `[ceiling/2, ceiling]` where the ceiling doubles per attempt up to
@@ -39,8 +38,8 @@ impl Backoff {
     }
 
     /// A deterministically seeded backoff: the same seed replays the same
-    /// delay sequence. This is what tests (and the replication shipper,
-    /// whose seed comes from its config) use.
+    /// delay sequence. This is what tests and the multi-tenant bench's
+    /// per-worker retry loops use.
     pub fn seeded(base: Duration, cap: Duration, seed: u64) -> Self {
         Self {
             base,

@@ -13,18 +13,14 @@
 //!   compaction inside the gate. With `shards = N` in the config the
 //!   service runs a [`ShardedCmdl`](cmdl_core::ShardedCmdl) router instead:
 //!   writes route to the owning shard's gate and reads fan out per query,
-//!   with results bit-identical to the single-catalog backend. With
-//!   `replicas = N` the writer gate ships every acked mutation as a
-//!   checksummed delta batch to N read replicas
-//!   ([`ReplicationGroup`](cmdl_core::ReplicationGroup)): reads route to
-//!   replicas within the configured lag bound and degrade to the writer's
-//!   snapshot when none qualify, and a wedged writer gate can be
-//!   reconciled back into service with `Recover` (`POST /admin/recover`).
+//!   with results bit-identical to the single-catalog backend. A wedged
+//!   writer gate can be reconciled back into service with `Recover`
+//!   (`POST /admin/recover`).
 //! * [`metrics`] — lock-free counters and latency quantiles with a text
 //!   exposition.
 //! * [`backoff`] — the one retry policy: jittered exponential
-//!   [`Backoff`] with deterministic seeding, used by the replication
-//!   shipper and the bench clients.
+//!   [`Backoff`] with deterministic seeding, used by the bench clients
+//!   backing off load sheds.
 //! * [`reactor`] — the HTTP/1.1 front end (std-only, no tokio): an epoll
 //!   readiness loop (vendored syscall shim, no `libc` crate) where each
 //!   connection is a resumable-parser state machine instead of a thread,

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cmdl_core::{ErrorCode, ReplicaStatus};
+use cmdl_core::ErrorCode;
 
 /// Number of log₂ latency buckets: bucket `i` holds latencies in
 /// `[2^i, 2^(i+1))` microseconds, with the last bucket open-ended
@@ -375,50 +375,6 @@ impl ServiceMetrics {
     }
 }
 
-/// Append the per-replica series for one replica set to an exposition
-/// buffer. With `tenant` set the names gain the `cmdl_tenant_` prefix and
-/// the `tenant` label (mirroring [`ServiceMetrics::render_tenant`], so
-/// replica series from different lakes in one hub never collide); bare
-/// `cmdl_replica_*` otherwise. Emits nothing for an empty set, so the
-/// single and sharded backends' expositions are byte-identical to before
-/// replication existed.
-pub fn render_replica_series(out: &mut String, statuses: &[ReplicaStatus], tenant: Option<&str>) {
-    let prefix = if tenant.is_some() {
-        "cmdl_tenant_replica"
-    } else {
-        "cmdl_replica"
-    };
-    for status in statuses {
-        let labels = match tenant {
-            Some(tenant) => format!("tenant=\"{tenant}\",replica=\"{}\"", status.name),
-            None => format!("replica=\"{}\"", status.name),
-        };
-        out.push_str(&format!(
-            "{prefix}_generation{{{labels}}} {}\n",
-            status.generation
-        ));
-        out.push_str(&format!(
-            "{prefix}_lag_generations{{{labels}}} {}\n",
-            status.lag
-        ));
-        out.push_str(&format!(
-            "{prefix}_applied_batches_total{{{labels}}} {}\n",
-            status.applied_batches
-        ));
-        out.push_str(&format!(
-            "{prefix}_resyncs_total{{{labels}}} {}\n",
-            status.resyncs
-        ));
-        // The state label makes dashboards readable; the gauge value (0-4,
-        // see `ReplicaHealth::gauge`) makes alerts thresholdable.
-        out.push_str(&format!(
-            "{prefix}_health_state{{{labels},health=\"{}\"}} {}\n",
-            status.health,
-            status.health_gauge()
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,63 +497,6 @@ mod tests {
                 last = value;
             }
         }
-    }
-
-    #[test]
-    fn replica_series_render_in_exposition_format() {
-        let statuses = vec![
-            ReplicaStatus {
-                name: "r0".into(),
-                health: "healthy".into(),
-                generation: 12,
-                lag: 0,
-                applied_batches: 7,
-                resyncs: 0,
-            },
-            ReplicaStatus {
-                name: "r1".into(),
-                health: "down".into(),
-                generation: 9,
-                lag: 3,
-                applied_batches: 5,
-                resyncs: 2,
-            },
-        ];
-        let mut text = String::new();
-        render_replica_series(&mut text, &statuses, None);
-        assert!(text.contains("cmdl_replica_generation{replica=\"r0\"} 12"));
-        assert!(text.contains("cmdl_replica_lag_generations{replica=\"r1\"} 3"));
-        assert!(text.contains("cmdl_replica_applied_batches_total{replica=\"r0\"} 7"));
-        assert!(text.contains("cmdl_replica_resyncs_total{replica=\"r1\"} 2"));
-        assert!(text.contains("cmdl_replica_health_state{replica=\"r0\",health=\"healthy\"} 0"));
-        assert!(text.contains("cmdl_replica_health_state{replica=\"r1\",health=\"down\"} 3"));
-        // Exposition shape: every line is `name{labels} value` with a
-        // parseable integer value and the cmdl_replica_ family name.
-        for line in text.lines() {
-            assert!(line.starts_with("cmdl_replica_"), "bad series name: {line}");
-            let (series, value) = line.rsplit_once(' ').unwrap();
-            assert!(series.contains("{replica=\"r"), "missing label: {line}");
-            assert!(series.ends_with('}'), "unclosed label set: {line}");
-            value.parse::<u64>().unwrap();
-        }
-
-        let mut tenant_text = String::new();
-        render_replica_series(&mut tenant_text, &statuses, Some("alpha"));
-        assert!(tenant_text
-            .contains("cmdl_tenant_replica_lag_generations{tenant=\"alpha\",replica=\"r1\"} 3"));
-        for line in tenant_text.lines() {
-            assert!(
-                line.starts_with("cmdl_tenant_replica_"),
-                "per-tenant replica series must stay off the global names: {line}"
-            );
-            assert!(line.contains("tenant=\"alpha\""), "missing tenant: {line}");
-        }
-
-        // An empty set emits nothing — non-replicated expositions are
-        // unchanged byte-for-byte.
-        let mut empty = String::new();
-        render_replica_series(&mut empty, &[], None);
-        assert!(empty.is_empty());
     }
 
     #[test]

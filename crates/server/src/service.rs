@@ -1,8 +1,8 @@
 //! The transport-agnostic CMDL service.
 //!
 //! [`CmdlService`] routes every [`ServiceRequest`] to a [`ServiceResponse`]
-//! over one of three backends, chosen by `config.shards` / `config.replicas`
-//! at construction ([`CmdlService::build`]):
+//! over one of two backends, chosen by `config.shards` at construction
+//! ([`CmdlService::build`]):
 //!
 //! * **Single** (`shards <= 1`) — one [`Cmdl`] behind a writer gate.
 //!   Reads never block behind writers: the service keeps a *published*
@@ -21,18 +21,6 @@
 //!   ingests routed to different shards profile concurrently — a single
 //!   flat-combining queue here would serialize exactly the work sharding
 //!   parallelizes. The sharded backend is in-memory only (no WAL).
-//! * **Replicated** (`replicas > 0`, `shards <= 1`) — the single-catalog
-//!   writer gate plus a [`ReplicationGroup`] of N read replicas. Every
-//!   drained mutation is also captured as a [`DeltaRecord`]; after each
-//!   drain the gate ships the accumulated records as one checksummed
-//!   [`DeltaBatch`](cmdl_core::DeltaBatch), pumps the replicas, and tends
-//!   their health. Reads route round-robin to replicas within the lag
-//!   bound and fall back to the writer's snapshot when none qualify —
-//!   degradation, never an error. Ship failures retry with jittered
-//!   exponential [`Backoff`]; a replica whose stream is poisoned (checksum
-//!   mismatch, generation discontinuity, delivery gap) or too far behind
-//!   is resynced from the writer's checkpoint
-//!   ([`Cmdl::resync_clone`]).
 //!
 //! The wire contract is bytes-in/bytes-out JSON
 //! ([`handle_json_bytes`](CmdlService::handle_json_bytes)), so every
@@ -40,22 +28,20 @@
 //! ([`crate::reactor`], [`crate::blocking`]) are nothing but framing.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use cmdl_core::replicate::{DeltaRecord, ReplicaStatus, ReplicationConfig, ReplicationGroup};
 use cmdl_core::snapshot::{publish, publish_if};
 use cmdl_core::{
     CatalogSnapshot, Cmdl, CmdlConfig, CmdlError, CmdlStats, DiscoveryQuery, ErrorCode,
-    QueryResponse, ShardedCmdl, ShardedSnapshot, WalRecord,
+    QueryResponse, ShardedCmdl, ShardedSnapshot,
 };
 use cmdl_datalake::{DataLake, Document, Table};
 
 use crate::api::{
     BatchOutcome, HealthReport, ResponsePayload, ServiceError, ServiceRequest, ServiceResponse,
 };
-use crate::backoff::Backoff;
 use crate::metrics::ServiceMetrics;
 
 /// One queued mutation, paired with the slot its result lands in.
@@ -95,13 +81,6 @@ struct SingleGate {
     /// a `Reconfigure` starts, cleared when it swaps or aborts. A second
     /// request while set gets `ReconfigurePending`.
     reconfiguring: AtomicBool,
-    /// `Some` when this gate feeds a replication group: every successfully
-    /// applied mutation is also captured as a [`DeltaRecord`] stamped with
-    /// the catalog generation it produced, for the shipper to batch. Only
-    /// ever locked while holding the writer gate (drain) or the ship lock
-    /// (take), so the order writer → feed is global. `None` on a plain
-    /// single backend — zero overhead.
-    replica_feed: Mutex<Option<Vec<(DeltaRecord, u64)>>>,
 }
 
 /// The sharded backend: the internally-synchronized [`ShardedCmdl`]
@@ -117,27 +96,12 @@ struct ShardedGate {
     wedged: AtomicBool,
 }
 
-/// The replicated backend: the single-catalog writer gate plus a
-/// [`ReplicationGroup`] the gate's delta feed is shipped to.
-struct ReplicatedGate {
-    single: SingleGate,
-    group: ReplicationGroup,
-    /// Serializes shippers: whichever mutator reaches `sync_replicas`
-    /// first ships the whole accumulated feed (mirroring the
-    /// flat-combining drain). Lock order is ship → writer → feed;
-    /// `submit_mutation` never holds writer and ship at once.
-    ship_lock: Mutex<()>,
-    /// Per-ship backoff decorrelation on top of the configured seed.
-    ship_count: AtomicU64,
-}
-
 // One Backend exists per service (never in collections), so the size skew
 // between the gate variants costs nothing.
 #[allow(clippy::large_enum_variant)]
 enum Backend {
     Single(SingleGate),
     Sharded(ShardedGate),
-    Replicated(Box<ReplicatedGate>),
 }
 
 /// A pinned read view over either backend — the common surface
@@ -188,24 +152,7 @@ impl CmdlService {
     /// Wrap a built catalog as a single-backend service.
     pub fn new(cmdl: Cmdl) -> Self {
         Self {
-            backend: Backend::Single(SingleGate::around(cmdl, false)),
-            metrics: Arc::new(ServiceMetrics::default()),
-        }
-    }
-
-    /// Wrap a built catalog and a pre-built replication group (normally
-    /// [`ReplicationGroup::new`] over the same catalog) as a
-    /// replicated-backend service. Tests build the group first so they can
-    /// keep chaos-plan and replica handles; [`build`](Self::build) does the
-    /// wiring from config.
-    pub fn replicated(cmdl: Cmdl, group: ReplicationGroup) -> Self {
-        Self {
-            backend: Backend::Replicated(Box::new(ReplicatedGate {
-                single: SingleGate::around(cmdl, true),
-                group,
-                ship_lock: Mutex::new(()),
-                ship_count: AtomicU64::new(0),
-            })),
+            backend: Backend::Single(SingleGate::around(cmdl)),
             metrics: Arc::new(ServiceMetrics::default()),
         }
     }
@@ -224,10 +171,8 @@ impl CmdlService {
     }
 
     /// Build a service from a lake, dispatching on the config: a
-    /// [`ShardedCmdl`] router when `shards > 1`, a writer plus
-    /// `config.replicas` read replicas when `replicas > 0` (sharding
-    /// wins if both are set), and one plain catalog otherwise.
-    /// This is the config-driven server entry point.
+    /// [`ShardedCmdl`] router when `shards > 1`, one plain catalog
+    /// otherwise. This is the config-driven in-memory server entry point.
     ///
     /// ```no_run
     /// use cmdl_core::CmdlConfig;
@@ -242,15 +187,6 @@ impl CmdlService {
     pub fn build(lake: DataLake, config: CmdlConfig) -> Self {
         if config.shards > 1 {
             Self::sharded(ShardedCmdl::build(lake, config))
-        } else if config.replicas > 0 {
-            let replication = ReplicationConfig {
-                replicas: config.replicas,
-                lag_bound: config.replica_lag_bound,
-                ..ReplicationConfig::default()
-            };
-            let cmdl = Cmdl::build(lake, config);
-            let group = ReplicationGroup::new(&cmdl, replication);
-            Self::replicated(cmdl, group)
         } else {
             Self::new(Cmdl::build(lake, config))
         }
@@ -260,13 +196,22 @@ impl CmdlService {
     /// single-backend service — the server-startup entry point. Recovery
     /// is logged: a loaded segment reports its replayed WAL tail, a
     /// damaged directory reports why it degraded to rebuild-from-source.
-    /// (Sharded serving is in-memory only; it has no durable form to
-    /// open.)
+    ///
+    /// Sharded serving is in-memory only; it has no durable form to open,
+    /// so `shards > 1` is refused with [`CmdlError::InvalidQuery`] before
+    /// anything touches `dir`, rather than silently serving one shard.
     pub fn open(
         dir: &std::path::Path,
         config: CmdlConfig,
         source: impl FnOnce() -> DataLake,
     ) -> Result<Self, CmdlError> {
+        if config.shards > 1 {
+            return Err(CmdlError::InvalidQuery(format!(
+                "shards = {}: a durable catalog is single-shard; drop `shards` or serve \
+                 the sharded backend in memory",
+                config.shards
+            )));
+        }
         let cmdl = Cmdl::open(dir, config, source)?;
         if let Some(report) = cmdl.recovery_report() {
             eprintln!("cmdl: catalog at {} recovered: {report:?}", dir.display());
@@ -277,17 +222,8 @@ impl CmdlService {
     /// How many shards serve this catalog (`1` for the single backend).
     pub fn num_shards(&self) -> usize {
         match &self.backend {
-            Backend::Single(_) | Backend::Replicated(_) => 1,
+            Backend::Single(_) => 1,
             Backend::Sharded(gate) => gate.router.num_shards(),
-        }
-    }
-
-    /// How many read replicas serve this catalog (`0` for the single and
-    /// sharded backends).
-    pub fn num_replicas(&self) -> usize {
-        match &self.backend {
-            Backend::Replicated(gate) => gate.group.len(),
-            _ => 0,
         }
     }
 
@@ -301,12 +237,6 @@ impl CmdlService {
         match &self.backend {
             Backend::Single(gate) => gate.flush(),
             Backend::Sharded(_) => {}
-            Backend::Replicated(gate) => {
-                // Flush the writer, then ship the flushed feed and pump so
-                // a graceful shutdown leaves the replicas converged.
-                gate.single.flush();
-                gate.sync_replicas();
-            }
         }
     }
 
@@ -325,14 +255,6 @@ impl CmdlService {
                 .read()
                 .unwrap_or_else(|poison| poison.into_inner())
                 .clone(),
-            // The writer's own published snapshot — the authoritative
-            // generation, regardless of replica lag.
-            Backend::Replicated(gate) => gate
-                .single
-                .published
-                .read()
-                .unwrap_or_else(|poison| poison.into_inner())
-                .clone(),
             Backend::Sharded(_) => {
                 panic!("CmdlService::snapshot on a sharded service; use sharded_snapshot")
             }
@@ -343,7 +265,7 @@ impl CmdlService {
     /// single-backend service.
     pub fn sharded_snapshot(&self) -> Option<ShardedSnapshot> {
         match &self.backend {
-            Backend::Single(_) | Backend::Replicated(_) => None,
+            Backend::Single(_) => None,
             Backend::Sharded(gate) => Some(
                 gate.published
                     .read()
@@ -353,10 +275,7 @@ impl CmdlService {
         }
     }
 
-    /// Pin the published generation of whichever backend is active. On the
-    /// replicated backend this is where read routing happens: round-robin
-    /// over the replicas within the lag bound, writer snapshot when none
-    /// qualifies.
+    /// Pin the published generation of whichever backend is active.
     fn view(&self) -> View {
         match &self.backend {
             Backend::Single(gate) => View::Single(
@@ -371,7 +290,6 @@ impl CmdlService {
                     .unwrap_or_else(|poison| poison.into_inner())
                     .clone(),
             ),
-            Backend::Replicated(gate) => View::Single(gate.read_snapshot()),
         }
     }
 
@@ -382,7 +300,6 @@ impl CmdlService {
         match &self.backend {
             Backend::Single(gate) => gate.wedged.load(Ordering::SeqCst),
             Backend::Sharded(gate) => gate.wedged.load(Ordering::SeqCst),
-            Backend::Replicated(gate) => gate.single.wedged.load(Ordering::SeqCst),
         }
     }
 
@@ -391,7 +308,7 @@ impl CmdlService {
     pub fn is_reconfiguring(&self) -> bool {
         match &self.backend {
             Backend::Single(gate) => gate.reconfiguring.load(Ordering::SeqCst),
-            Backend::Sharded(_) | Backend::Replicated(_) => false,
+            Backend::Sharded(_) => false,
         }
     }
 
@@ -428,13 +345,10 @@ impl CmdlService {
     }
 
     /// Render the metrics text exposition (counters plus the published
-    /// snapshot's generation and delta pressure, and — on the replicated
-    /// backend — the per-replica `cmdl_replica_*` series).
+    /// snapshot's generation and delta pressure).
     pub fn render_metrics(&self) -> String {
         let (generation, pressure) = self.generation_and_pressure();
-        let mut out = self.metrics.render(generation, pressure);
-        crate::metrics::render_replica_series(&mut out, &self.replica_status(), None);
-        out
+        self.metrics.render(generation, pressure)
     }
 
     /// The generation of the currently published snapshot, without cloning
@@ -450,16 +364,6 @@ impl CmdlService {
             }
             Backend::Sharded(gate) => {
                 gate.published
-                    .read()
-                    .unwrap_or_else(|poison| poison.into_inner())
-                    .generation
-            }
-            // The writer's published generation: strictly ahead of (or
-            // equal to) every replica, so a cache entry tagged with an
-            // older replica generation can never be mistaken for current.
-            Backend::Replicated(gate) => {
-                gate.single
-                    .published
                     .read()
                     .unwrap_or_else(|poison| poison.into_inner())
                     .generation
@@ -595,7 +499,6 @@ impl CmdlService {
                 let mut stats = view.stats();
                 stats.wedged = self.is_wedged();
                 stats.reconfiguring = self.is_reconfiguring();
-                stats.replicas = self.replica_status();
                 ServiceResponse::success(ResponsePayload::Stats(stats))
             }
             ServiceRequest::Health => {
@@ -606,7 +509,6 @@ impl CmdlService {
                     generation: view.generation(),
                     wedged,
                     reconfiguring: self.is_reconfiguring(),
-                    replicas: self.replica_status(),
                 }))
             }
             ServiceRequest::CreateLake { .. }
@@ -628,14 +530,6 @@ impl CmdlService {
         match &self.backend {
             Backend::Single(gate) => gate.submit_mutation(request),
             Backend::Sharded(gate) => gate.submit_mutation(request),
-            Backend::Replicated(gate) => {
-                let response = gate.single.submit_mutation(request);
-                // Ship the feed (ours and anything other drains left
-                // behind), pump the replicas, and tend their health —
-                // whether or not this particular mutation succeeded.
-                gate.sync_replicas();
-                response
-            }
         }
     }
 
@@ -650,24 +544,6 @@ impl CmdlService {
     pub fn recover(&self) -> ServiceResponse {
         match &self.backend {
             Backend::Single(gate) => gate.recover(),
-            Backend::Replicated(gate) => {
-                let response = gate.single.recover();
-                // Only a real un-wedge can have rolled the writer back
-                // behind what was already shipped, which is what forces
-                // every replica back to a checkpoint-consistent copy; a
-                // healthy no-op recover must not churn the replicas
-                // through needless resyncs.
-                if matches!(
-                    response.payload,
-                    Some(ResponsePayload::Recovered {
-                        was_wedged: true,
-                        ..
-                    })
-                ) {
-                    gate.resync_all();
-                }
-                response
-            }
             Backend::Sharded(gate) => {
                 if gate.wedged.load(Ordering::SeqCst) {
                     ServiceResponse::failure(ServiceError::with_subject(
@@ -702,31 +578,6 @@ impl CmdlService {
                 "online reconfiguration is unsupported on the sharded backend; \
                  restart with the new config",
             )),
-            // A rebuilt writer under a new config would strand every
-            // replica (their catalogs were bootstrapped under the old one
-            // and the delta stream is only meaningful between identically
-            // configured catalogs), so refuse rather than half-apply.
-            Backend::Replicated(_) => ServiceResponse::failure(ServiceError::with_subject(
-                ErrorCode::InvalidQuery,
-                "online reconfiguration is unsupported on the replicated backend; \
-                 restart with the new config",
-            )),
-        }
-    }
-
-    /// Per-replica status (name, health, generation, lag, applied batches,
-    /// resyncs), lag measured against the last shipped generation. Empty on
-    /// the single and sharded backends. Surfaced through `/healthz`,
-    /// `/stats`, and the `cmdl_replica_*` metric series.
-    pub fn replica_status(&self) -> Vec<ReplicaStatus> {
-        match &self.backend {
-            Backend::Replicated(gate) => {
-                // Refresh silence-driven health first so a probe observes
-                // Suspect/Down transitions without waiting for a mutation.
-                gate.group.tick();
-                gate.group.status()
-            }
-            _ => Vec::new(),
         }
     }
 
@@ -746,17 +597,14 @@ impl CmdlService {
     fn single_gate(&self) -> &SingleGate {
         match &self.backend {
             Backend::Single(gate) => gate,
-            Backend::Replicated(gate) => &gate.single,
             Backend::Sharded(_) => panic!("test expects the single backend"),
         }
     }
 }
 
 impl SingleGate {
-    /// Wrap a built catalog in a gate. With `feed` set, every successfully
-    /// applied mutation is also captured for a replication shipper (see
-    /// `replica_feed`).
-    fn around(cmdl: Cmdl, feed: bool) -> Self {
+    /// Wrap a built catalog in a gate.
+    fn around(cmdl: Cmdl) -> Self {
         let published = RwLock::new(cmdl.snapshot());
         Self {
             writer: Mutex::new(cmdl),
@@ -765,7 +613,6 @@ impl SingleGate {
             wedged: AtomicBool::new(false),
             recording: Mutex::new(None),
             reconfiguring: AtomicBool::new(false),
-            replica_feed: Mutex::new(feed.then(Vec::new)),
         }
     }
 
@@ -778,17 +625,6 @@ impl SingleGate {
             .unwrap_or_else(|poison| poison.into_inner());
         self.drain_queue(&mut cmdl);
         drop(publish(&self.published, cmdl.snapshot()));
-    }
-
-    /// Take everything the drains have fed since the last take (empty when
-    /// the feed is inactive). Callers hold the ship lock, never the writer.
-    fn take_feed(&self) -> Vec<(DeltaRecord, u64)> {
-        self.replica_feed
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
     }
 
     /// Re-run panic reconciliation for a wedged gate (the `Recover`
@@ -911,36 +747,6 @@ impl SingleGate {
                 .unwrap_or_else(|poison| poison.into_inner())
                 .is_some()
                 .then(|| pending.request.clone());
-            // When this gate feeds a replication group, derive the delta
-            // record the writer's WAL path logs (or would log) for this
-            // mutation — cloned before the apply consumes the request,
-            // kept only if the apply succeeds.
-            let feed_copy = self
-                .replica_feed
-                .lock()
-                .unwrap_or_else(|poison| poison.into_inner())
-                .is_some()
-                .then(|| match &pending.request {
-                    ServiceRequest::IngestTable(table) => {
-                        Some(DeltaRecord::Wal(WalRecord::IngestTable(table.clone())))
-                    }
-                    ServiceRequest::IngestDocument(document) => Some(DeltaRecord::Wal(
-                        WalRecord::IngestDocument(document.clone()),
-                    )),
-                    ServiceRequest::RemoveTable { name } => {
-                        Some(DeltaRecord::Wal(WalRecord::RemoveTable {
-                            name: name.clone(),
-                        }))
-                    }
-                    ServiceRequest::RemoveDocument { index } => {
-                        Some(DeltaRecord::Wal(WalRecord::RemoveDocument {
-                            index: *index,
-                        }))
-                    }
-                    ServiceRequest::Compact => Some(DeltaRecord::Compact),
-                    _ => None,
-                })
-                .flatten();
             let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 Self::apply_mutation(&mut *cmdl, pending.request)
             }))
@@ -971,19 +777,6 @@ impl SingleGate {
                         .as_mut()
                     {
                         log.push(request);
-                    }
-                }
-                if let Some(record) = feed_copy {
-                    if let Some(feed) = self
-                        .replica_feed
-                        .lock()
-                        .unwrap_or_else(|poison| poison.into_inner())
-                        .as_mut()
-                    {
-                        // Stamped with the generation the mutation landed
-                        // at; the shipper uses the last stamp in a batch as
-                        // the target generation.
-                        feed.push((record, cmdl.generation()));
                     }
                 }
             }
@@ -1026,12 +819,6 @@ impl SingleGate {
             return ServiceResponse::failure(ServiceError::with_subject(
                 ErrorCode::InvalidQuery,
                 "reconfigure cannot change the shard count; restart with a sharded config",
-            ));
-        }
-        if config.replicas > 0 {
-            return ServiceResponse::failure(ServiceError::with_subject(
-                ErrorCode::InvalidQuery,
-                "reconfigure cannot add replicas; restart with the replicas knob set",
             ));
         }
         if self
@@ -1188,114 +975,6 @@ impl SingleGate {
             other => {
                 debug_assert!(false, "read {} routed to writer gate", other.kind());
                 ServiceResponse::failure(ServiceError::new(ErrorCode::Internal))
-            }
-        }
-    }
-}
-
-impl ReplicatedGate {
-    /// Route a read: a replica within the lag bound when one qualifies,
-    /// the writer's own published snapshot otherwise (degraded, never an
-    /// error).
-    fn read_snapshot(&self) -> CatalogSnapshot {
-        match self.group.route() {
-            Some((_, snapshot)) => snapshot,
-            None => self
-                .single
-                .published
-                .read()
-                .unwrap_or_else(|poison| poison.into_inner())
-                .clone(),
-        }
-    }
-
-    /// Ship the accumulated delta feed, pump every replica, resync the
-    /// ones whose stream is beyond in-place repair, and advance the
-    /// heartbeat sweep. Called after every mutation drain and on flush;
-    /// the ship lock serializes shippers so batches stay densely
-    /// sequenced (a mutator that finds the lock held simply leaves its
-    /// feed entry for the current holder's next take).
-    fn sync_replicas(&self) {
-        let _ship = self
-            .ship_lock
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        self.ship_feed();
-        for i in self.group.pump_all() {
-            self.resync_replica(i);
-        }
-        self.group.tick();
-    }
-
-    /// Take whatever the drains accumulated and ship it as one batch,
-    /// retrying failed ships with jittered exponential backoff. Caller
-    /// holds the ship lock.
-    fn ship_feed(&self) {
-        let feed = self.single.take_feed();
-        let Some(target) = feed.last().map(|(_, generation)| *generation) else {
-            return;
-        };
-        let records: Vec<DeltaRecord> = feed.into_iter().map(|(record, _)| record).collect();
-        let config = self.group.config();
-        // Deterministic per config seed, decorrelated per ship and per
-        // replica.
-        let base_seed = config
-            .seed
-            .wrapping_add(self.ship_count.fetch_add(1, Ordering::SeqCst) << 8);
-        let mut backoffs: Vec<Backoff> = (0..self.group.len())
-            .map(|i| {
-                Backoff::seeded(
-                    config.retry_base,
-                    config.retry_cap,
-                    base_seed.wrapping_add(i as u64),
-                )
-            })
-            .collect();
-        self.group.ship(&records, target, &mut |replica, _attempt| {
-            backoffs[replica].sleep();
-        });
-    }
-
-    /// Resync replica `i` from the writer's checkpoint. Caller holds the
-    /// ship lock; the writer gate is held across drain → ship → clone so
-    /// the installed catalog's generation equals the shipped generation
-    /// and every batch the replica sees afterwards applies cleanly on top.
-    fn resync_replica(&self, i: usize) {
-        self.group.mark_recovering(i);
-        let clone = {
-            let mut cmdl = self
-                .single
-                .writer
-                .lock()
-                .unwrap_or_else(|poison| poison.into_inner());
-            self.single.drain_queue(&mut cmdl);
-            drop(publish(&self.single.published, cmdl.snapshot()));
-            // Ship what that drain fed (lock order writer → feed holds —
-            // the ship lock is already ours) so the stream position read
-            // below matches the clone.
-            self.ship_feed();
-            match cmdl.resync_clone() {
-                // The durable-state clone is only installable if it caught
-                // all the way up to the in-memory catalog (the WAL tail can
-                // trail pure-compaction generations, which are not logged).
-                Ok(clone) if clone.generation() == cmdl.generation() => clone,
-                Ok(_) | Err(_) => Cmdl::from_snapshot(cmdl.snapshot()),
-            }
-        };
-        self.group
-            .install_resynced(i, clone, self.group.current_seq());
-    }
-
-    /// Resync every live replica (after a writer-side recovery rewound
-    /// acknowledged state, the delta stream is no longer trustworthy).
-    fn resync_all(&self) {
-        let _ship = self
-            .ship_lock
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        for i in 0..self.group.len() {
-            if self.group.replica(i).is_alive() {
-                self.resync_replica(i);
             }
         }
     }
@@ -1562,6 +1241,28 @@ mod tests {
     }
 
     #[test]
+    fn open_refuses_shards_without_touching_the_directory() {
+        let dir = std::env::temp_dir().join(format!(
+            "cmdl-service-sharded-open-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = CmdlConfig {
+            shards: 2,
+            ..CmdlConfig::fast()
+        };
+        match CmdlService::open(&dir, config, || panic!("a refused open builds nothing")) {
+            Err(CmdlError::InvalidQuery(reason)) => {
+                assert!(reason.contains("shards"), "names the knob: {reason}")
+            }
+            Err(other) => panic!("wrong error: {other:?}"),
+            Ok(service) => panic!("opened {} shard(s) for shards = 2", service.num_shards()),
+        }
+        assert!(!dir.exists(), "a refused open must not create {dir:?}");
+    }
+
+    #[test]
     fn malformed_bytes_yield_malformed_request() {
         let service = service();
         let out = service.handle_json_bytes(b"{not json");
@@ -1647,88 +1348,9 @@ mod tests {
         assert!(sharded.handle(ServiceRequest::Compact).ok);
     }
 
-    fn replicated_service(replicas: usize) -> CmdlService {
-        let lake = synth::pharma::generate(&synth::PharmaConfig::tiny()).lake;
-        let mut config = CmdlConfig::fast();
-        config.replicas = replicas;
-        CmdlService::build(lake, config)
-    }
-
-    #[test]
-    fn replicated_service_keeps_bit_parity_with_single() {
-        let single = service();
-        let replicated = replicated_service(2);
-        assert_eq!(replicated.num_replicas(), 2);
-        assert_eq!(single.num_replicas(), 0);
-        // Same mutations against both backends.
-        for service in [&single, &replicated] {
-            assert!(
-                service
-                    .ingest_table(Table::new(
-                        "Parity_T",
-                        vec![Column::from_texts("v", ["alpha", "beta"])],
-                    ))
-                    .ok
-            );
-            assert!(
-                service
-                    .ingest_document(Document::new("n", "s", "replicated parity note"))
-                    .ok
-            );
-        }
-        let request = ServiceRequest::Query(QueryBuilder::keyword("parity").top_k(5).build());
-        let (a, b) = (single.handle(request.clone()), replicated.handle(request));
-        match (a.payload, b.payload) {
-            (Some(ResponsePayload::Query(qa)), Some(ResponsePayload::Query(qb))) => {
-                assert_eq!(qa.hits, qb.hits, "replica reads must keep bit parity");
-            }
-            other => panic!("wrong payloads: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn replicated_health_stats_and_metrics_report_replicas() {
-        let replicated = replicated_service(2);
-        assert!(
-            replicated
-                .ingest_document(Document::new("n", "s", "replica visible"))
-                .ok
-        );
-        match replicated.handle(ServiceRequest::Health).payload {
-            Some(ResponsePayload::Health(h)) => {
-                assert_eq!(h.status, "ok");
-                assert_eq!(h.replicas.len(), 2);
-                for replica in &h.replicas {
-                    assert_eq!(replica.health, "healthy");
-                    assert_eq!(replica.lag, 0, "synchronous shipping leaves no lag");
-                }
-            }
-            other => panic!("wrong payload: {other:?}"),
-        }
-        match replicated.handle(ServiceRequest::Stats).payload {
-            Some(ResponsePayload::Stats(stats)) => {
-                assert_eq!(stats.replicas.len(), 2);
-                assert!(stats.replicas.iter().all(|r| r.applied_batches >= 1));
-            }
-            other => panic!("wrong payload: {other:?}"),
-        }
-        let text = replicated.render_metrics();
-        assert!(text.contains("cmdl_replica_health_state{replica=\"r0\""));
-        assert!(text.contains("cmdl_replica_lag_generations{replica=\"r1\"}"));
-        // The non-replicated backends expose no replica series at all.
-        assert!(!service().render_metrics().contains("cmdl_replica_"));
-    }
-
-    #[test]
-    fn replicated_backend_rejects_online_reconfiguration() {
-        let replicated = replicated_service(1);
-        let response = replicated.handle(ServiceRequest::Reconfigure(CmdlConfig::fast()));
-        assert_eq!(response.error_code(), Some(ErrorCode::InvalidQuery));
-    }
-
     #[test]
     fn recover_on_healthy_gates_is_a_noop_success() {
-        for service in [service(), replicated_service(1), sharded_service(2)] {
+        for service in [service(), sharded_service(2)] {
             let response = service.handle(ServiceRequest::Recover);
             assert!(response.ok, "healthy gates recover as a no-op");
             match response.payload {
@@ -1737,13 +1359,6 @@ mod tests {
                 }
                 other => panic!("wrong payload: {other:?}"),
             }
-            // A no-op recover must not churn healthy replicas through
-            // needless resync-from-checkpoint cycles.
-            assert!(
-                service.replica_status().iter().all(|r| r.resyncs == 0),
-                "healthy recover forced a resync: {:?}",
-                service.replica_status()
-            );
         }
     }
 

@@ -163,8 +163,9 @@ pub struct TenantDefaults {
     pub config: CmdlConfig,
     /// Quotas stamped onto every created lake.
     pub quotas: TenantQuotas,
-    /// When set, every single-backend lake persists under
-    /// `<data_root>/<name>-e<epoch>/`; when `None` the hub is in-memory.
+    /// When set, every lake persists under `<data_root>/<name>-e<epoch>/`
+    /// (so a lake asking for `shards > 1`, which has no durable form, is
+    /// refused); when `None` the hub is in-memory.
     pub data_root: Option<PathBuf>,
 }
 
@@ -318,13 +319,6 @@ impl TenantHub {
             .map(|tenant| tenant.service.generation_and_pressure())
             .unwrap_or((0, 0.0));
         let mut out = self.global.render(generation, pressure);
-        // The un-labeled `cmdl_replica_*` family also gauges on the
-        // default tenant, so a single-tenant server's exposition matches
-        // `CmdlService::render_metrics` exactly (non-replicated backends
-        // report no replicas and emit nothing here).
-        if let Some(tenant) = &default {
-            crate::metrics::render_replica_series(&mut out, &tenant.service.replica_status(), None);
-        }
         let mut tenants = self.snapshot_tenants();
         tenants.sort_by(|a, b| a.name.cmp(&b.name));
         for tenant in tenants {
@@ -344,11 +338,6 @@ impl TenantHub {
                 tenant.name,
                 u8::from(info.reconfiguring)
             ));
-            crate::metrics::render_replica_series(
-                &mut out,
-                &tenant.service.replica_status(),
-                Some(&tenant.name),
-            );
         }
         out
     }
@@ -525,15 +514,16 @@ impl TenantHub {
     ) -> Result<Arc<Tenant>, ServiceError> {
         let epoch = self.epochs.fetch_add(1, Ordering::SeqCst);
         let lake_name = name.to_string();
+        // A durable hub always opens: `CmdlService::open` is the one place
+        // that refuses configs with no durable form (`shards > 1`).
         let (service, persist_dir) = match &self.defaults.data_root {
-            // Sharded serving is in-memory only — it has no durable form.
-            Some(root) if config.shards <= 1 => {
+            Some(root) => {
                 let dir = root.join(format!("{name}-e{epoch}"));
                 let service = CmdlService::open(&dir, config, move || DataLake::new(lake_name))
                     .map_err(ServiceError::from)?;
                 (service, Some(dir))
             }
-            _ => (CmdlService::build(DataLake::new(lake_name), config), None),
+            None => (CmdlService::build(DataLake::new(lake_name), config), None),
         };
         Ok(Arc::new(Tenant {
             name: name.to_string(),

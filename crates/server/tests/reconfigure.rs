@@ -12,8 +12,8 @@
 //!   for the whole duration of the rebuild; deltas ingested while the
 //!   rebuild runs are present after the swap (the replay log).
 //! * **Typed edges** — a second reconfigure while one is in flight, a
-//!   shard-count or replica-count change, and the sharded backend are
-//!   typed errors, never panics or hangs.
+//!   shard-count change, a config naming a key that no longer exists, and
+//!   the sharded backend are typed errors, never panics or hangs.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,7 +21,10 @@ use std::sync::Arc;
 
 use cmdl_core::{Cmdl, CmdlConfig, QueryBuilder};
 use cmdl_datalake::{synth, DataLake, Document, Table};
-use cmdl_server::{CmdlService, ResponsePayload, ServiceRequest, ServiceResponse};
+use cmdl_server::{
+    CmdlService, ResponsePayload, ServiceRequest, ServiceResponse, TenantDefaults, TenantHub,
+    DEFAULT_TENANT,
+};
 
 fn base_parts() -> (Vec<Table>, Vec<Document>) {
     let lake = synth::pharma::generate(&synth::PharmaConfig::tiny()).lake;
@@ -308,25 +311,49 @@ fn shard_count_changes_and_sharded_backends_are_typed_errors() {
         Some(cmdl_core::ErrorCode::InvalidQuery),
         "{resharded:?}"
     );
-    // Neither can replicas be added: the backend would stay single and
-    // serve none of them.
-    let replicated = single.handle(ServiceRequest::Reconfigure(CmdlConfig {
-        replicas: 2,
-        ..CmdlConfig::fast()
-    }));
-    assert_eq!(
-        replicated.error_code(),
-        Some(cmdl_core::ErrorCode::InvalidQuery),
-        "{replicated:?}"
-    );
-    assert!(
-        replicated
-            .error
-            .as_ref()
-            .and_then(|error| error.subject.as_deref())
-            .is_some_and(|subject| subject.contains("replicas")),
-        "the rejection names the replicas knob: {replicated:?}"
-    );
+    // Knobs that no longer exist are refused at the wire, by name, instead
+    // of being silently dropped from the config: on `Reconfigure` and on a
+    // hub `CreateLake`, and the same body without the key goes through.
+    let hub = TenantHub::new(TenantDefaults::default()).expect("in-memory hub");
+    let config_json = serde_json::to_string(&CmdlConfig::fast()).expect("config serializes");
+    for key in ["replicas", "replica_lag_bound"] {
+        let stale = format!("{},\"{key}\":2}}", config_json.trim_end_matches('}'));
+        let reconfigure =
+            |config: &str| single.handle_json(format!(r#"{{"Reconfigure":{config}}}"#).as_bytes());
+        let create = |config: &str| {
+            hub.handle_json(
+                DEFAULT_TENANT,
+                format!(
+                    r#"{{"CreateLake":{{"name":"knob-{key}","config":{config},"quotas":null}}}}"#
+                )
+                .as_bytes(),
+            )
+        };
+        for (route, rejected) in [
+            ("reconfigure", reconfigure(&stale)),
+            ("create_lake", create(&stale)),
+        ] {
+            assert_eq!(
+                rejected.error_code(),
+                Some(cmdl_core::ErrorCode::MalformedRequest),
+                "{route} with `{key}`: {rejected:?}"
+            );
+            assert!(
+                rejected
+                    .error
+                    .as_ref()
+                    .and_then(|error| error.subject.as_deref())
+                    .is_some_and(|subject| subject.contains(&format!("`{key}`"))),
+                "{route}: the rejection names `{key}`: {rejected:?}"
+            );
+        }
+        for (route, accepted) in [
+            ("reconfigure", reconfigure(&config_json)),
+            ("create_lake", create(&config_json)),
+        ] {
+            assert!(accepted.ok, "{route} without `{key}`: {accepted:?}");
+        }
+    }
 
     // The sharded backend has no online-reconfigure path at all.
     let sharded = CmdlService::build(

@@ -4,7 +4,7 @@
 
 use cmdl_core::{Cmdl, CmdlConfig, ErrorCode, QueryBuilder};
 use cmdl_datalake::{synth, Column, Document, Table};
-use cmdl_server::{CmdlService, ResponsePayload, ServiceRequest, ServiceResponse};
+use cmdl_server::{route_envelope, CmdlService, ResponsePayload, ServiceRequest, ServiceResponse};
 
 fn service() -> CmdlService {
     let lake = synth::pharma::generate(&synth::PharmaConfig::tiny()).lake;
@@ -252,6 +252,27 @@ fn health_round_trips() {
         ResponsePayload::Health(report) => {
             assert_eq!(report.status, "ok");
             assert_eq!(report.generation, 0);
+        }
+        other => panic!("wrong payload: {other:?}"),
+    }
+}
+
+#[test]
+fn recover_route_and_envelope_round_trip() {
+    // The HTTP router maps the admin endpoint to the Recover envelope.
+    assert_eq!(
+        route_envelope("POST", "/admin/recover", "").as_deref(),
+        Some("\"Recover\"")
+    );
+    // A healthy gate answers it as a no-op success.
+    let response = round_trip(&service(), &ServiceRequest::Recover);
+    match expect_payload(&response) {
+        ResponsePayload::Recovered {
+            generation,
+            was_wedged,
+        } => {
+            assert_eq!(*generation, 0);
+            assert!(!was_wedged);
         }
         other => panic!("wrong payload: {other:?}"),
     }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 #[cfg(target_os = "linux")]
 use std::time::Duration;
 
-use cmdl_core::{ErrorCode, QueryBuilder};
+use cmdl_core::{CmdlConfig, ErrorCode, QueryBuilder};
 use cmdl_datalake::{Column, Document, Table};
 use cmdl_server::{
     http_status, split_tenant, LakeQuotas, ResponsePayload, ServiceRequest, ServiceResponse,
@@ -490,6 +490,49 @@ fn recreated_name_starts_fresh_generation_and_persist_dir() {
         "a recreated name must never reuse a persist directory"
     );
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn durable_hub_refuses_sharded_lakes_instead_of_dropping_durability() {
+    let root = temp_root("sharded");
+    let hub = TenantHub::new(TenantDefaults {
+        data_root: Some(root.clone()),
+        ..TenantDefaults::default()
+    })
+    .expect("durable hub");
+    let response = hub.handle(
+        DEFAULT_TENANT,
+        ServiceRequest::CreateLake {
+            name: "sharded".to_string(),
+            config: Some(CmdlConfig {
+                shards: 2,
+                ..CmdlConfig::fast()
+            }),
+            quotas: None,
+        },
+    );
+    assert_eq!(
+        response.error_code(),
+        Some(ErrorCode::InvalidQuery),
+        "{response:?}"
+    );
+    assert!(
+        response
+            .error
+            .as_ref()
+            .and_then(|error| error.subject.as_deref())
+            .is_some_and(|subject| subject.contains("shards")),
+        "the rejection names the shards knob: {response:?}"
+    );
+    assert!(hub.tenant("sharded").is_none(), "no lake was registered");
+    let leftovers: Vec<_> = std::fs::read_dir(&root)
+        .expect("data root listing")
+        .filter_map(|entry| entry.ok())
+        .map(|entry| entry.file_name())
+        .filter(|name| name.to_string_lossy().starts_with("sharded"))
+        .collect();
+    assert!(leftovers.is_empty(), "no directory created: {leftovers:?}");
     let _ = std::fs::remove_dir_all(&root);
 }
 
