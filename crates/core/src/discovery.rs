@@ -1,10 +1,11 @@
 //! The CMDL discovery interface (paper Section 5.2).
 //!
 //! [`Cmdl`] is the system façade: it owns the profiled lake, the index
-//! catalog, the (optionally trained) joint model, and the EKG. Discovery
-//! runs through the unified [`DiscoveryQuery`] API: build a query with
-//! [`QueryBuilder`] and run it with [`execute`](Cmdl::execute) (or batch it
-//! with [`execute_many`](Cmdl::execute_many)); every kind returns the same
+//! catalog, and the (optionally trained) joint model. Discovery runs
+//! through the unified [`DiscoveryQuery`] API: build a query with
+//! [`QueryBuilder`](crate::query::QueryBuilder) and run it with
+//! [`execute`](Cmdl::execute) (or batch it with
+//! [`execute_many`](Cmdl::execute_many)); every kind returns the same
 //! [`QueryResponse`] envelope with per-signal score provenance.
 //!
 //! The paper's primitives are the [`DiscoveryQuery`] kinds: `Keyword` (Q1
@@ -22,14 +23,14 @@
 //! [`remove_table`](Cmdl::remove_table) and
 //! [`remove_document`](Cmdl::remove_document) profile only the delta and
 //! apply it to every index in place (postings appends with lazily-refreshed
-//! IDF, LSH delta inserts with tombstoned removals, ANN delta-tail inserts,
-//! EKG edge patching). All catalog state lives behind `Arc`s: a reader takes
-//! a [`CatalogSnapshot`] via
-//! [`snapshot`](Cmdl::snapshot) and keeps a consistent generation while
-//! writers apply batches copy-on-write. [`compact`](Cmdl::compact) folds
-//! tombstones and deltas back into the dense layouts, after which the
-//! catalog is structurally identical to a batch build over the surviving
-//! elements (the `incremental-parity` CI job holds this equality forever).
+//! IDF, LSH delta inserts with tombstoned removals, ANN delta-tail inserts).
+//! All catalog state lives behind `Arc`s: a reader takes a
+//! [`CatalogSnapshot`] via [`snapshot`](Cmdl::snapshot) and keeps a
+//! consistent generation while writers apply batches copy-on-write.
+//! [`compact`](Cmdl::compact) folds tombstones and deltas back into the
+//! dense layouts, after which the catalog is structurally identical to a
+//! batch build over the surviving elements (the `incremental-parity` CI
+//! job holds this equality forever).
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -42,7 +43,6 @@ use cmdl_text::BagOfWords;
 use cmdl_weaklabel::GoldLabel;
 
 use crate::config::CmdlConfig;
-use crate::ekg::{Ekg, NodeId, RelationType};
 use crate::error::CmdlError;
 use crate::indexes::IndexCatalog;
 use crate::joint::{JointModel, JointTrainer, JointTrainingReport};
@@ -51,9 +51,9 @@ use crate::persist::{
     PersistHandle, RecoveryReport, Wal, WalRecord,
 };
 use crate::profile::{ElementData, ProfiledLake, Profiler};
-use crate::query::{DiscoveryQuery, Hit, QueryBuilder, QueryResponse};
+use crate::query::{DiscoveryQuery, QueryResponse};
 use crate::snapshot::CatalogSnapshot;
-use crate::training::{TrainingDataset, TrainingDatasetGenerator, TrainingGenerationReport};
+use crate::training::{TrainingDatasetGenerator, TrainingGenerationReport};
 
 /// The search scope of a [`DiscoveryQuery::Keyword`] query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,10 +81,7 @@ pub struct Cmdl {
     pub indexes: Arc<IndexCatalog>,
     profiler: Arc<Profiler>,
     joint: Option<Arc<JointModel>>,
-    ekg: Arc<Ekg>,
     generation: u64,
-    /// The last weak-supervision training dataset (kept for inspection).
-    pub training_dataset: Option<TrainingDataset>,
     /// The last training-generation report.
     pub training_report: Option<TrainingGenerationReport>,
     /// The durability handle (WAL + checkpoint directory), present when the
@@ -110,21 +107,17 @@ impl Cmdl {
     pub fn from_profiled(profiled: ProfiledLake, config: CmdlConfig) -> Self {
         let profiler = Profiler::new(&config);
         let indexes = IndexCatalog::build(&profiled, &config);
-        let mut system = Self {
+        Self {
             config,
             profiled: Arc::new(profiled),
             indexes: Arc::new(indexes),
             profiler: Arc::new(profiler),
             joint: None,
-            ekg: Arc::new(Ekg::new()),
             generation: 0,
-            training_dataset: None,
             training_report: None,
             persist: None,
             recovery: None,
-        };
-        system.build_structural_ekg();
-        system
+        }
     }
 
     // ------------------------------------------------------------------
@@ -322,7 +315,6 @@ impl Cmdl {
         let config = decode_config(section(segment, "config")?)?;
         let profiled = profiled?;
         let mut indexes = indexes?;
-        let ekg: Ekg = parse("ekg", section(segment, "ekg")?)?;
         let joint: Option<JointModel> = parse("joint", section(segment, "joint")?)?;
         indexes.restore_runtime_state(&profiled, &config);
         let profiler = Profiler::new(&config);
@@ -332,9 +324,7 @@ impl Cmdl {
             indexes: Arc::new(indexes),
             profiler: Arc::new(profiler),
             joint: joint.map(Arc::new),
-            ekg: Arc::new(ekg),
             generation: segment.manifest.generation,
-            training_dataset: None,
             training_report: None,
             persist: None,
             recovery: None,
@@ -443,7 +433,6 @@ impl Cmdl {
             ("config", serde::to_bin_bytes(&self.config)),
             ("profiled", encode_profiled(&self.profiled)),
             ("indexes", serde::to_bin_bytes(&*self.indexes)),
-            ("ekg", serde::to_bin_bytes(&*self.ekg)),
             ("joint", serde::to_bin_bytes(&self.joint)),
         ];
         let generation = self.generation;
@@ -477,11 +466,6 @@ impl Cmdl {
     /// directory still describes the donor catalog's state.
     pub fn install_persistence(&mut self, handle: PersistHandle) {
         self.persist = Some(handle);
-    }
-
-    /// The Enterprise Knowledge Graph.
-    pub fn ekg(&self) -> &Ekg {
-        &self.ekg
     }
 
     /// The trained joint model, if any.
@@ -538,7 +522,7 @@ impl Cmdl {
     }
 
     /// Pin the current generation: a cheap, immutable, internally consistent
-    /// view of the lake, profiles, indexes, joint model, and EKG. Readers
+    /// view of the lake, profiles, indexes, and joint model. Readers
     /// holding a snapshot are unaffected by later ingestion batches (writers
     /// mutate copy-on-write).
     pub fn snapshot(&self) -> CatalogSnapshot {
@@ -548,7 +532,6 @@ impl Cmdl {
             profiled: Arc::clone(&self.profiled),
             indexes: Arc::clone(&self.indexes),
             joint: self.joint.clone(),
-            ekg: Arc::clone(&self.ekg),
             profiler: Arc::clone(&self.profiler),
         }
     }
@@ -567,9 +550,7 @@ impl Cmdl {
             indexes: snapshot.indexes,
             profiler,
             joint: snapshot.joint,
-            ekg: snapshot.ekg,
             generation: snapshot.generation,
-            training_dataset: None,
             training_report: None,
             persist: None,
             recovery: None,
@@ -605,7 +586,6 @@ impl Cmdl {
             .collect();
         Arc::make_mut(&mut self.indexes).install_joint(&self.profiled, embeddings, &self.config);
         self.joint = Some(Arc::new(model));
-        self.training_dataset = Some(dataset);
         self.training_report = Some(gen_report);
         self.generation += 1;
         // The joint model is not WAL-covered (it is not a queue mutation),
@@ -638,10 +618,9 @@ impl Cmdl {
     // ------------------------------------------------------------------
 
     /// Ingest a new table: profile only its columns and apply the delta to
-    /// every index in place (no rebuild). Structural `BelongsTo` EKG edges
-    /// are patched in, and — when the joint model is trained — the new
-    /// columns are embedded into the joint space immediately. Returns the
-    /// table index.
+    /// every index in place (no rebuild); when the joint model is trained,
+    /// the new columns are embedded into the joint space immediately.
+    /// Returns the table index.
     ///
     /// Table names address tables throughout the discovery API, so ingesting
     /// a name that is already live is rejected (remove the old table first;
@@ -675,18 +654,11 @@ impl Cmdl {
                 .collect::<Result<_, CmdlError>>()?
         };
         let indexes = Arc::make_mut(&mut self.indexes);
-        let ekg = Arc::make_mut(&mut self.ekg);
         for profile in new_profiles {
             indexes.ingest_profile(&profile);
             if let Some(model) = &self.joint {
                 indexes.ingest_joint(&profile, model.embed(&profile.solo));
             }
-            ekg.add_undirected(
-                NodeId::De(profile.id),
-                NodeId::Table(table_idx),
-                RelationType::BelongsTo,
-                1.0,
-            );
             profiled.column_ids.push(profile.id);
             profiled.profiles.insert(profile.id, Arc::new(profile));
         }
@@ -756,9 +728,8 @@ impl Cmdl {
     }
 
     /// Remove a table: its columns are tombstoned in every index (space is
-    /// reclaimed by the next [`compact`](Self::compact)), their profiles
-    /// dropped, and the affected EKG neighborhood patched. Returns the
-    /// number of removed elements.
+    /// reclaimed by the next [`compact`](Self::compact)) and their profiles
+    /// dropped. Returns the number of removed elements.
     pub fn remove_table(&mut self, name: &str) -> Result<usize, CmdlError> {
         if self.profiled.lake.table_index(name).is_none() {
             return Err(CmdlError::UnknownTable(name.to_string()));
@@ -767,24 +738,17 @@ impl Cmdl {
             name: name.to_string(),
         })?;
         let profiled = Arc::make_mut(&mut self.profiled);
-        let table_idx = profiled
-            .lake
-            .table_index(name)
-            .ok_or_else(|| CmdlError::Internal(format!("table {name} vanished mid-removal")))?;
         let removed = profiled
             .lake
             .remove_table(name)
             .ok_or_else(|| CmdlError::Internal(format!("table {name} was not live on removal")))?;
         let indexes = Arc::make_mut(&mut self.indexes);
-        let ekg = Arc::make_mut(&mut self.ekg);
         let removed_set: HashSet<DeId> = removed.iter().copied().collect();
         for id in &removed {
             if let Some(profile) = profiled.profiles.remove(id) {
                 indexes.remove_element(&profile);
             }
-            ekg.remove_node(NodeId::De(*id));
         }
-        ekg.remove_node(NodeId::Table(table_idx));
         profiled.column_ids.retain(|id| !removed_set.contains(id));
         self.generation += 1;
         self.maybe_compact();
@@ -792,9 +756,8 @@ impl Cmdl {
     }
 
     /// Remove a document by index: the element is tombstoned in every
-    /// index, the corpus document-frequency statistics are retracted (with
-    /// the same flip-patching as ingestion), and its EKG neighborhood is
-    /// patched.
+    /// index, and the corpus document-frequency statistics are retracted
+    /// (with the same flip-patching as ingestion).
     pub fn remove_document(&mut self, index: usize) -> Result<(), CmdlError> {
         match self.profiled.lake.document_id(index) {
             Some(id) if self.profiled.profiles.contains_key(&id) => {}
@@ -837,7 +800,6 @@ impl Cmdl {
             self.joint.as_deref(),
             &flipped,
         );
-        Arc::make_mut(&mut self.ekg).remove_node(NodeId::De(id));
         self.generation += 1;
         self.maybe_compact();
         Ok(())
@@ -993,125 +955,6 @@ impl Cmdl {
             self.compact();
         }
     }
-
-    /// Materialize the higher-order relationships (Doc→Table, joinability,
-    /// PK-FK, unionability) into the EKG. Expensive on large lakes; intended
-    /// to be called after training.
-    pub fn materialize_ekg(&mut self, top_k: usize) {
-        // Discover all edges against the pinned snapshot, then apply them in
-        // one mutation (so the snapshot's Arc is released before the
-        // copy-on-write borrow of the EKG).
-        let snap = self.snapshot();
-        // A failed query (unknown reference, `top_k == 0`) adds no edges.
-        let hits = |query: QueryBuilder| {
-            snap.execute(&query.build())
-                .map(|response| response.hits)
-                .unwrap_or_default()
-        };
-        let table_index = |hit: &Hit| {
-            hit.table
-                .as_deref()
-                .and_then(|t| snap.profiled.lake.table_index(t))
-        };
-        let mut edges: Vec<(NodeId, NodeId, RelationType, f64)> = Vec::new();
-        // Doc→Table edges.
-        for &doc_id in &snap.profiled.doc_ids {
-            let Some(idx) = snap.profiled.lake.document_index(doc_id) else {
-                continue;
-            };
-            for hit in hits(QueryBuilder::cross_modal_doc(idx).top_k(top_k)) {
-                if let Some(t_idx) = table_index(&hit) {
-                    edges.push((
-                        NodeId::De(doc_id),
-                        NodeId::Table(t_idx),
-                        RelationType::DocToTable,
-                        hit.score,
-                    ));
-                }
-            }
-        }
-        // PK-FK edges: every link, whatever `top_k`.
-        for link in hits(QueryBuilder::pkfk().top_k(usize::MAX))
-            .into_iter()
-            .filter_map(|hit| hit.pkfk)
-        {
-            edges.push((
-                NodeId::De(link.pk),
-                NodeId::De(link.fk),
-                RelationType::PkFk,
-                link.score,
-            ));
-        }
-        // Join and union edges at the table level.
-        let table_names: Vec<String> = snap
-            .profiled
-            .lake
-            .tables()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !snap.profiled.lake.is_table_removed(i))
-            .map(|(_, t)| t.name.clone())
-            .collect();
-        for name in &table_names {
-            let Some(from) = snap.profiled.lake.table_index(name) else {
-                continue;
-            };
-            for hit in hits(QueryBuilder::joinable(name).top_k(top_k)) {
-                if let Some(to) = table_index(&hit) {
-                    edges.push((
-                        NodeId::Table(from),
-                        NodeId::Table(to),
-                        RelationType::Joinable,
-                        hit.score,
-                    ));
-                }
-            }
-            for union in hits(QueryBuilder::unionable(name).top_k(top_k))
-                .into_iter()
-                .filter_map(|hit| hit.union)
-            {
-                if let Some(to) = snap.profiled.lake.table_index(&union.table) {
-                    edges.push((
-                        NodeId::Table(from),
-                        NodeId::Table(to),
-                        RelationType::Unionable,
-                        union.score,
-                    ));
-                }
-            }
-        }
-        drop(snap);
-        let ekg = Arc::make_mut(&mut self.ekg);
-        for (from, to, relation, weight) in edges {
-            ekg.add_edge(from, to, relation, weight);
-        }
-        // Materialized edges are not WAL-covered; persist them eagerly.
-        self.checkpoint_best_effort();
-    }
-
-    fn build_structural_ekg(&mut self) {
-        // BelongsTo edges between columns and their tables.
-        let memberships: Vec<(DeId, usize)> = self
-            .profiled
-            .column_ids
-            .iter()
-            .filter_map(|&id| {
-                self.profiled
-                    .lake
-                    .column_ref(id)
-                    .map(|cref| (id, cref.table))
-            })
-            .collect();
-        let ekg = Arc::make_mut(&mut self.ekg);
-        for (column, table) in memberships {
-            ekg.add_undirected(
-                NodeId::De(column),
-                NodeId::Table(table),
-                RelationType::BelongsTo,
-                1.0,
-            );
-        }
-    }
 }
 
 fn parse<T: Deserialize>(name: &str, bytes: &[u8]) -> Result<T, PersistError> {
@@ -1143,6 +986,7 @@ fn persist_err(e: PersistError) -> CmdlError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{Hit, QueryBuilder};
     use cmdl_datalake::{synth, DeKind};
 
     fn system() -> Cmdl {
@@ -1187,7 +1031,6 @@ mod tests {
         let cmdl = system();
         assert!(!cmdl.profiled.is_empty());
         assert!(!cmdl.indexes.content.is_empty());
-        assert!(cmdl.ekg().num_edges() > 0, "structural EKG edges exist");
         assert!(cmdl.joint_model().is_none());
     }
 
@@ -1248,7 +1091,7 @@ mod tests {
         assert!(report.epochs >= 1);
         assert!(cmdl.joint_model().is_some());
         assert!(cmdl.indexes.joint_ann.is_some());
-        assert!(!cmdl.training_dataset.as_ref().unwrap().is_empty());
+        assert!(cmdl.training_report.as_ref().unwrap().candidate_pairs > 0);
         // Cross-modal search now uses the joint space without breaking.
         let results = hits(&cmdl, QueryBuilder::cross_modal_doc(0).top_k(3)).unwrap();
         assert!(!results.is_empty());
@@ -1294,7 +1137,6 @@ mod tests {
         let mut cmdl = system();
         let gen0 = cmdl.generation();
         let columns_before = cmdl.profiled.column_ids.len();
-        let edges_before = cmdl.ekg().num_edges();
         let idx = cmdl
             .ingest_table(cmdl_datalake::Table::new(
                 "Trial_Sites",
@@ -1323,10 +1165,6 @@ mod tests {
         ));
         assert!(cmdl.generation() > gen0);
         assert_eq!(cmdl.profiled.column_ids.len(), columns_before + 2);
-        assert!(
-            cmdl.ekg().num_edges() > edges_before,
-            "BelongsTo patched in"
-        );
         assert!(cmdl.profiled.lake.table("Trial_Sites").is_some());
         assert_eq!(cmdl.profiled.lake.tables()[idx].name, "Trial_Sites");
         // The new columns are discoverable right away.
@@ -1413,9 +1251,6 @@ mod tests {
         assert!(cmdl.profiled.lake.table("Dosages").is_some());
         assert!(hits(&cmdl, QueryBuilder::joinable("Dosages").top_k(3)).is_ok());
         assert!(hits(&cmdl, QueryBuilder::unionable("Dosages").top_k(3)).is_ok());
-        // materialize_ekg walks every live table name; it must not panic on
-        // the reused name.
-        cmdl.materialize_ekg(2);
     }
 
     #[test]
@@ -1533,26 +1368,5 @@ mod tests {
         assert!(!hits(&cmdl, cross_modal.clone()).unwrap().is_empty());
         cmdl.compact();
         assert!(!hits(&cmdl, cross_modal).unwrap().is_empty());
-    }
-
-    #[test]
-    fn materialize_ekg_adds_relationship_edges() {
-        let mut cmdl = system();
-        let before = cmdl.ekg().num_edges();
-        cmdl.materialize_ekg(2);
-        let after = cmdl.ekg().num_edges();
-        assert!(after > before);
-        let counts = cmdl.ekg().edge_counts_by_relation();
-        for relation in [
-            RelationType::DocToTable,
-            RelationType::PkFk,
-            RelationType::Joinable,
-            RelationType::Unionable,
-        ] {
-            assert!(
-                counts.contains_key(&relation),
-                "no {relation:?} edges materialized: {counts:?}"
-            );
-        }
     }
 }

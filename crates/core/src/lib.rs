@@ -2,8 +2,8 @@
 //!
 //! The CMDL system (paper Sections 2–5): preprocessing and profiling of
 //! discoverable elements, the indexing framework, the weakly-supervised
-//! training-dataset generator, the joint-representation model, the Enterprise
-//! Knowledge Graph (EKG) builder, and the SRQL-style discovery interface.
+//! training-dataset generator, the joint-representation model, and the
+//! SRQL-style discovery interface.
 //!
 //! The typical flow mirrors Figure 2 of the paper:
 //!
@@ -14,7 +14,7 @@
 //!                                   │
 //!                        JointTrainer (triplet loss MLP)
 //!                                   │
-//!                 EKG builder + Discovery interface (Cmdl)
+//!                   Discovery interface (Cmdl)
 //! ```
 //!
 //! The [`Cmdl`] façade wires all stages together; discovery runs through
@@ -46,7 +46,6 @@
 pub mod column_index;
 pub mod config;
 pub mod discovery;
-pub mod ekg;
 pub mod error;
 pub mod indexes;
 pub mod join;
@@ -63,7 +62,6 @@ pub mod union;
 pub use column_index::ColumnIndex;
 pub use config::{CmdlConfig, CrossModalStrategy, HardSampling, ShardPolicy};
 pub use discovery::{Cmdl, SearchMode};
-pub use ekg::{Ekg, NodeId, RelationType};
 pub use error::{CmdlError, ErrorCode};
 pub use indexes::{DeltaStats, IndexCatalog};
 pub use join::{JoinDiscovery, PkFkLink};

@@ -243,7 +243,7 @@ impl PersistHandle {
     ///
     /// The segment file name comes from the handle's own monotone
     /// sequence, never from `generation`: checkpoints can repeat a
-    /// generation (EKG materialization, back-to-back compactions), and the
+    /// generation (a checkpoint with no mutation since the last one), and the
     /// write-once/atomic-swap invariant requires that the file the live
     /// manifest points at is never reopened for writing — a crash mid-way
     /// through this function must leave the previous checkpoint intact.
@@ -423,7 +423,7 @@ mod tests {
             .checkpoint(1, &[("lake", b"first".to_vec())])
             .unwrap();
         let first = load_segment(&io, &dir).unwrap().expect("live").manifest;
-        // Same generation again (the materialize_ekg / train_joint path):
+        // Same generation again (a re-checkpoint with no mutation between):
         // a brand-new file, not an in-place rewrite of the live one.
         handle
             .checkpoint(1, &[("lake", b"second".to_vec())])

@@ -7,7 +7,7 @@
 //! rayon-parallel [`execute_many`](CatalogSnapshot::execute_many)). Every
 //! query kind returns the same [`QueryResponse`] envelope — ranked
 //! [`Hit`]s carrying a [`ScoreBreakdown`] that explains which signals (BM25,
-//! containment, embedding cosine, name similarity, EKG evidence, …) produced
+//! containment, embedding cosine, name similarity, …) produced
 //! each score — plus the snapshot generation and execution timing. All
 //! request and response types are `Serialize`/`Deserialize`, so the envelope
 //! is wire-ready for a service layer.
@@ -67,7 +67,6 @@ use rayon::prelude::*;
 
 use crate::config::CrossModalStrategy;
 use crate::discovery::SearchMode;
-use crate::ekg::{NodeId, RelationType};
 use crate::error::CmdlError;
 use crate::join::{JoinDiscovery, PkFkLink};
 use crate::snapshot::CatalogSnapshot;
@@ -88,10 +87,6 @@ pub enum Signal {
     NumericOverlap,
     /// Primary-key uniqueness.
     Uniqueness,
-    /// A materialized Enterprise-Knowledge-Graph edge corroborates the hit
-    /// (provenance only: reported with weight 0, it does not change the
-    /// score).
-    Ekg,
 }
 
 /// One signal's contribution to a hit's score: the raw signal `value` and
@@ -103,8 +98,7 @@ pub struct SignalContribution {
     pub signal: Signal,
     /// The raw signal value.
     pub value: f64,
-    /// The blend weight applied to the value (0 for provenance-only
-    /// signals).
+    /// The blend weight applied to the value.
     pub weight: f64,
 }
 
@@ -678,18 +672,6 @@ impl CatalogSnapshot {
         }
     }
 
-    /// The weight of a materialized EKG edge of `relation` between two
-    /// tables, if present (provenance for join/union hits).
-    fn ekg_table_edge(&self, from: Option<usize>, relation: RelationType, to: &str) -> Option<f64> {
-        let from = from?;
-        let to = self.profiled.lake.table_index(to)?;
-        self.ekg
-            .neighbors(NodeId::Table(from), relation)
-            .into_iter()
-            .find(|(node, _)| *node == NodeId::Table(to))
-            .map(|(_, weight)| weight)
-    }
-
     /// Q1: kind-scoped BM25 keyword search. The scope filter is pushed down
     /// into the index's top-k heap.
     fn run_keyword(&self, text: &str, mode: SearchMode, fetch: usize) -> Vec<Hit> {
@@ -759,25 +741,18 @@ impl CatalogSnapshot {
         if self.profiled.lake.table(table).is_none() {
             return Err(CmdlError::UnknownTable(table.to_string()));
         }
-        let from = self.profiled.lake.table_index(table);
         let discovery = JoinDiscovery::new(&self.profiled, &self.indexes.columns, &self.config);
         Ok(discovery
             .joinable_tables(table, fetch)
             .into_iter()
-            .map(|(name, score)| {
-                let mut breakdown = ScoreBreakdown::single(Signal::Containment, score, 1.0);
-                if let Some(weight) = self.ekg_table_edge(from, RelationType::Joinable, &name) {
-                    breakdown.push(Signal::Ekg, weight, 0.0);
-                }
-                Hit {
-                    element: None,
-                    label: name.clone(),
-                    table: Some(name),
-                    score,
-                    breakdown,
-                    pkfk: None,
-                    union: None,
-                }
+            .map(|(name, score)| Hit {
+                element: None,
+                label: name.clone(),
+                table: Some(name),
+                score,
+                breakdown: ScoreBreakdown::single(Signal::Containment, score, 1.0),
+                pkfk: None,
+                union: None,
             })
             .collect())
     }
@@ -818,7 +793,6 @@ impl CatalogSnapshot {
         if self.profiled.lake.table(table).is_none() {
             return Err(CmdlError::UnknownTable(table.to_string()));
         }
-        let from = self.profiled.lake.table_index(table);
         let discovery = UnionDiscovery::new(&self.profiled, &self.indexes.columns);
         Ok(discovery
             .unionable_tables(table, fetch)
@@ -831,11 +805,6 @@ impl CatalogSnapshot {
                     {
                         breakdown = union_breakdown(&discovery.signals(qp, cp));
                     }
-                }
-                if let Some(weight) =
-                    self.ekg_table_edge(from, RelationType::Unionable, &score.table)
-                {
-                    breakdown.push(Signal::Ekg, weight, 0.0);
                 }
                 Hit {
                     element: None,

@@ -59,10 +59,9 @@
 //!
 //! ## What sharding does not support
 //!
-//! The joint model ([`Cmdl::train_joint`]) and EKG materialization are
-//! single-catalog features for now: a sharded catalog always serves
-//! cross-modal queries from the solo space (exactly like an untrained
-//! single catalog) and reports only structural EKG edges.
+//! The joint model ([`Cmdl::train_joint`]) is a single-catalog feature for
+//! now: a sharded catalog always serves cross-modal queries from the solo
+//! space (exactly like an untrained single catalog).
 //!
 //! ```no_run
 //! use cmdl_core::{CmdlConfig, QueryBuilder, ShardedCmdl};

@@ -2,7 +2,7 @@
 //!
 //! [`CatalogSnapshot`] is an immutable, reference-counted view of everything
 //! a discovery query needs: the profiled lake, the index catalog, the
-//! (optionally trained) joint model, the EKG, and the profiler. The [`Cmdl`]
+//! (optionally trained) joint model, and the profiler. The [`Cmdl`]
 //! façade hands out snapshots cheaply (a handful of `Arc` clones); writers
 //! apply ingestion batches copy-on-write, so a reader holding a snapshot
 //! keeps a fully consistent view — lake, profiles, and all four indexes from
@@ -24,7 +24,6 @@
 use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::config::CmdlConfig;
-use crate::ekg::Ekg;
 use crate::indexes::IndexCatalog;
 use crate::joint::JointModel;
 use crate::profile::{ProfiledLake, Profiler};
@@ -42,8 +41,6 @@ pub struct CatalogSnapshot {
     pub indexes: Arc<IndexCatalog>,
     /// The trained joint model, if any.
     pub joint: Option<Arc<JointModel>>,
-    /// The Enterprise Knowledge Graph.
-    pub ekg: Arc<Ekg>,
     /// The profiler (for query-text transformation).
     pub profiler: Arc<Profiler>,
 }

@@ -299,7 +299,7 @@ pub struct DataLake {
     id_to_column: HashMap<DeId, ColumnRef>,
     id_to_document: HashMap<DeId, usize>,
     /// Indices of removed tables. Slots are kept (emptied of data) so table
-    /// indices — used by `ColumnRef` and by EKG nodes — stay stable.
+    /// indices — used by `ColumnRef` — stay stable.
     removed_tables: std::collections::HashSet<usize>,
     /// Indices of removed documents (slots kept for the same reason).
     removed_documents: std::collections::HashSet<usize>,

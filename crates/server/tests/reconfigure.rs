@@ -311,13 +311,15 @@ fn shard_count_changes_and_sharded_backends_are_typed_errors() {
         Some(cmdl_core::ErrorCode::InvalidQuery),
         "{resharded:?}"
     );
-    // Knobs that no longer exist are refused at the wire, by name, instead
-    // of being silently dropped from the config: on `Reconfigure` and on a
-    // hub `CreateLake`, and the same body without the key goes through.
+    // Knobs that no longer exist, and a knob given twice, are refused at
+    // the wire, by name, instead of being silently dropped from the config
+    // or read from whichever copy comes first: on `Reconfigure` and on a hub
+    // `CreateLake`, and the same body without the extra key goes through.
     let hub = TenantHub::new(TenantDefaults::default()).expect("in-memory hub");
     let config_json = serde_json::to_string(&CmdlConfig::fast()).expect("config serializes");
-    for key in ["replicas", "replica_lag_bound"] {
-        let stale = format!("{},\"{key}\":2}}", config_json.trim_end_matches('}'));
+    assert!(config_json.contains("\"shards\":1"), "{config_json}");
+    for (key, value) in [("replicas", 2), ("replica_lag_bound", 2), ("shards", 4)] {
+        let stale = format!("{},\"{key}\":{value}}}", config_json.trim_end_matches('}'));
         let reconfigure =
             |config: &str| single.handle_json(format!(r#"{{"Reconfigure":{config}}}"#).as_bytes());
         let create = |config: &str| {

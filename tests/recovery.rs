@@ -17,7 +17,8 @@
 //! Around the sweep: clean-restart WAL replay (including removals), a
 //! torn WAL tail, silent bit-flips during segment writes, hand-corrupted
 //! manifest/segment files (all must degrade to rebuild-from-source, never
-//! panic), and proptests proving `decode_frames` recovers exactly the
+//! panic), a segment in the older five-section layout (must still load),
+//! and proptests proving `decode_frames` recovers exactly the
 //! longest valid record prefix under arbitrary truncation or bit-flips.
 
 mod common;
@@ -27,7 +28,9 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
-use cmdl::core::persist::{decode_frames, encode_frame, MANIFEST_NAME};
+use cmdl::core::persist::{
+    decode_frames, encode_frame, load_segment, PersistHandle, MANIFEST_NAME,
+};
 use cmdl::core::{
     Cmdl, CmdlConfig, CmdlError, Fault, FaultPlan, Io, QueryBuilder, RecoveryReport, SearchMode,
 };
@@ -517,8 +520,8 @@ fn hand_corrupted_manifest_and_segment_fall_back_to_rebuild() {
 
 #[test]
 fn kill_mid_same_generation_recheckpoint_keeps_previous_checkpoint() {
-    // The materialize_ekg / train_joint path checkpoints without bumping
-    // the generation. Segments are write-once: a crash mid-way through the
+    // A checkpoint with no mutation since the last one repeats the
+    // generation. Segments are write-once: a crash mid-way through the
     // re-checkpoint must leave the previous checkpoint (the one the live
     // manifest points at) fully intact — loaded, never rebuilt.
     let s = scenario();
@@ -559,6 +562,86 @@ fn kill_mid_same_generation_recheckpoint_keeps_previous_checkpoint() {
         other => panic!("expected Loaded, got {other:?}"),
     }
     assert_eq!(recovered.profiled.lake.tables().len(), s.seed_tables + 1);
+}
+
+#[test]
+fn segment_with_a_retired_ekg_section_still_loads() {
+    // Segments written while the catalog still kept a knowledge graph hold
+    // a fifth section, `ekg`, between `indexes` and `joint`. Recovery looks
+    // sections up by name, so such a segment loads with that section
+    // checksum-verified and ignored, and the next checkpoint drops it.
+    let s = scenario();
+    let config = CmdlConfig::fast();
+    let io = Io::real();
+    let current_dir = TempDir::new("layout-current");
+    let seed = s.seed.clone();
+    let current = Cmdl::open(current_dir.path(), config.clone(), move || seed).expect("fresh open");
+    let section_names = |dir: &Path| {
+        let segment = load_segment(&io, dir)
+            .expect("segment verifies")
+            .expect("directory is checkpointed");
+        let mut names: Vec<String> = segment.sections.into_keys().collect();
+        names.sort_unstable();
+        names
+    };
+    assert_eq!(
+        section_names(current_dir.path()),
+        ["config", "indexes", "joint", "profiled"]
+    );
+
+    // Rewrite the same catalog in the older layout into a fresh directory.
+    let segment = load_segment(&io, current_dir.path())
+        .expect("segment verifies")
+        .expect("directory is checkpointed");
+    let section = |name: &str| segment.sections[name].clone();
+    let older_layout = [
+        ("config", section("config")),
+        ("profiled", section("profiled")),
+        ("indexes", section("indexes")),
+        ("ekg", b"retired knowledge-graph edges".to_vec()),
+        ("joint", section("joint")),
+    ];
+    let older_dir = TempDir::new("layout-older");
+    let (mut handle, _, _) = PersistHandle::open(&io, older_dir.path(), 0).expect("fresh dir");
+    handle
+        .checkpoint(segment.manifest.generation, &older_layout)
+        .expect("older-layout checkpoint");
+    drop(handle);
+
+    let mut reopened = Cmdl::open(older_dir.path(), config, || {
+        panic!("an older-layout segment must load without the source")
+    })
+    .expect("reopen");
+    assert_eq!(
+        reopened.recovery_report(),
+        Some(&RecoveryReport::Loaded {
+            generation: segment.manifest.generation,
+            replayed: 0,
+            discarded_bytes: 0,
+        })
+    );
+    let answers = |cmdl: &Cmdl| {
+        let snap = cmdl.snapshot();
+        let mut queries: Vec<_> = queries_for(&s.seed)
+            .iter()
+            .map(|text| QueryBuilder::keyword(text).top_k(10).build())
+            .collect();
+        for table in s.seed.tables() {
+            queries.push(QueryBuilder::joinable(&table.name).top_k(5).build());
+            queries.push(QueryBuilder::unionable(&table.name).top_k(5).build());
+        }
+        queries
+            .iter()
+            .map(|query| ranked(&snap, query))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(answers(&current), answers(&reopened));
+
+    reopened.checkpoint().expect("checkpoint");
+    assert_eq!(
+        section_names(older_dir.path()),
+        ["config", "indexes", "joint", "profiled"]
+    );
 }
 
 #[test]
