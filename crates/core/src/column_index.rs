@@ -8,8 +8,10 @@
 //!   non-numeric columns that hold it — so the exact overlap
 //!   `|q ∩ c|` of a query column with *every* column is one walk over the
 //!   query's values, instead of two hash sets built per pair;
-//! * per-column **prepared name features** ([`NameFeatures`]), so a name
-//!   comparison tokenizes nothing;
+//! * **interned names**: each distinct column name is prepared once
+//!   ([`NameFeatures`]) and a column carries its name id, so a name
+//!   comparison tokenizes nothing and a scorer can memoize one similarity
+//!   per distinct name;
 //! * the **solo-vector self-dot** (the squared norm the cosine needs);
 //! * the owning **table slot**, and a **live column count per table**.
 //!
@@ -48,8 +50,8 @@ pub(crate) struct ColumnEntry {
     pub numeric: bool,
     /// `tags.join_candidate`.
     pub join_candidate: bool,
-    /// The prepared column name.
-    pub name: NameFeatures,
+    /// Id of the column name (see [`ColumnIndex::name`]).
+    pub name_id: u32,
     /// `dot(solo, solo)` of the solo content embedding.
     pub solo_self_dot: f32,
 }
@@ -62,8 +64,8 @@ struct TableEntry {
     columns: usize,
 }
 
-/// Value → column posting map plus per-column prepared features over the
-/// tabular columns of one catalog (see the module docs).
+/// Value → column posting map, per-column features and interned names
+/// over the tabular columns of one catalog (see the module docs).
 ///
 /// Column profiles carry their values de-duplicated
 /// (`Column::distinct_texts`), which the overlap counts rely on.
@@ -82,6 +84,11 @@ pub struct ColumnIndex {
     tables: Vec<TableEntry>,
     /// Table name → table slot.
     table_slots: HashMap<String, u32>,
+    /// Per name id, the prepared name. Append-only: a name outlives its
+    /// last column, so a name ingested again keeps its id.
+    names: Vec<NameFeatures>,
+    /// Column name → name id.
+    name_ids: HashMap<String, u32>,
     /// Total entries over all posting lists.
     num_postings: usize,
 }
@@ -128,6 +135,15 @@ impl ColumnIndex {
             }
             self.num_postings += profile.distinct_values.len();
         }
+        let name_id = match self.name_ids.get(profile.name.as_str()) {
+            Some(&id) => id,
+            None => {
+                let id = self.names.len() as u32;
+                self.names.push(NameFeatures::new(&profile.name));
+                self.name_ids.insert(profile.name.clone(), id);
+                id
+            }
+        };
         let solo = &profile.solo.content;
         self.entries.push(Some(ColumnEntry {
             id: profile.id,
@@ -135,7 +151,7 @@ impl ColumnIndex {
             distinct: profile.distinct_values.len(),
             numeric: profile.tags.numeric,
             join_candidate: profile.tags.join_candidate,
-            name: NameFeatures::new(&profile.name),
+            name_id,
             solo_self_dot: dot_f32(solo, solo),
         }));
         self.slots.insert(profile.id, slot);
@@ -216,6 +232,21 @@ impl ColumnIndex {
     /// Live columns of a table slot.
     pub(crate) fn table_columns(&self, table: u32) -> usize {
         self.tables[table as usize].columns
+    }
+
+    /// Table slots known so far (slots are below this).
+    pub(crate) fn num_tables(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// Distinct column names interned so far (name ids are below this).
+    pub(crate) fn num_names(&self) -> usize {
+        self.names.len()
+    }
+
+    /// The prepared name of a name id.
+    pub(crate) fn name(&self, name_id: u32) -> &NameFeatures {
+        &self.names[name_id as usize]
     }
 
     /// A zeroed overlap counter sized for this index's slots.
@@ -353,6 +384,43 @@ mod tests {
         assert_eq!(index.num_postings(), rebuilt.num_postings());
         for (value, posting) in &rebuilt.postings {
             assert_eq!(index.postings[value].len(), posting.len());
+        }
+    }
+
+    #[test]
+    fn names_are_interned_and_outlive_their_columns() {
+        let profiled = pharma();
+        let mut index = ColumnIndex::build(&profiled);
+        let distinct: std::collections::HashSet<&str> = profiled
+            .column_ids
+            .iter()
+            .map(|&id| profiled.profile(id).unwrap().name.as_str())
+            .collect();
+        assert_eq!(index.num_names(), distinct.len());
+        let drugs = profiled.columns_of_table("Drugs");
+        let ids_before: Vec<u32> = drugs
+            .iter()
+            .map(|&id| index.entry_of(id).unwrap().1.name_id)
+            .collect();
+        for &id in &drugs {
+            index.remove(profiled.profile(id).unwrap());
+        }
+        for &id in &drugs {
+            index.insert(profiled.profile(id).unwrap());
+        }
+        assert_eq!(index.num_names(), distinct.len(), "no name interned twice");
+        for (&id, &name_id) in drugs.iter().zip(&ids_before) {
+            let (_, entry) = index.entry_of(id).unwrap();
+            assert_eq!(entry.name_id, name_id);
+            let name = &profiled.profile(id).unwrap().name;
+            let expected = NameFeatures::new(name).similarity(&NameFeatures::new(name));
+            assert_eq!(
+                index
+                    .name(name_id)
+                    .similarity(&NameFeatures::new(name))
+                    .to_bits(),
+                expected.to_bits()
+            );
         }
     }
 

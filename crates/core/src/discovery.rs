@@ -135,7 +135,9 @@ impl Cmdl {
     /// fresh directory, or when the segment/manifest turns out to be
     /// corrupted (the catalog then degrades to rebuild-from-source with the
     /// reason logged and recorded in [`recovery_report`](Cmdl::recovery_report)
-    /// rather than panicking). `config` likewise applies only to those
+    /// rather than panicking). A directory written by a newer build is not
+    /// corrupted: the open returns [`CmdlError::NewerLayout`] and changes
+    /// nothing on disk. `config` likewise applies only to those
     /// rebuild paths — a loaded segment carries its own configuration,
     /// which must match the serialized index layouts.
     pub fn open(
@@ -158,7 +160,11 @@ impl Cmdl {
         io.create_dir_all(dir).map_err(persist_err)?;
         let loaded = match load_segment(io, dir) {
             Ok(loaded) => loaded,
-            Err(PersistError::Crashed) => return Err(persist_err(PersistError::Crashed)),
+            // A newer build's directory is not damage: refuse it untouched
+            // (a rebuild would set aside its WAL of acknowledged mutations).
+            Err(e @ (PersistError::Crashed | PersistError::NewerLayout { .. })) => {
+                return Err(persist_err(e))
+            }
             Err(reason) => {
                 // Corrupted manifest or segment: degrade to rebuild.
                 return Self::rebuild_at(io, dir, config, source(), Some(reason.to_string()));
@@ -980,7 +986,12 @@ fn decode_config(bytes: &[u8]) -> Result<CmdlConfig, PersistError> {
 
 /// Classify a [`PersistError`] into the typed error surface.
 fn persist_err(e: PersistError) -> CmdlError {
-    CmdlError::Persist(e.to_string())
+    match e {
+        PersistError::NewerLayout { found, supported } => {
+            CmdlError::NewerLayout { found, supported }
+        }
+        other => CmdlError::Persist(other.to_string()),
+    }
 }
 
 #[cfg(test)]
@@ -1015,6 +1026,48 @@ mod tests {
             decode_config(&torn),
             Err(PersistError::Corrupt(reason)) if reason.contains("8 trailing bytes")
         ));
+    }
+
+    #[test]
+    fn a_newer_manifest_version_is_refused_and_the_directory_left_alone() {
+        use crate::persist::{decode_manifest, encode_manifest, MANIFEST_NAME};
+        let dir = std::env::temp_dir().join(format!("cmdl-newer-layout-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lake = synth::pharma::generate(&synth::PharmaConfig::tiny()).lake;
+        let mut cmdl = Cmdl::open(&dir, CmdlConfig::fast(), move || lake).unwrap();
+        // An acknowledged mutation that only the WAL holds.
+        cmdl.ingest_document(Document::new("Note", "test", "aspirin inhibits cox"))
+            .unwrap();
+        drop(cmdl);
+        let manifest_path = dir.join(MANIFEST_NAME);
+        let mut manifest = decode_manifest(&std::fs::read(&manifest_path).unwrap()).unwrap();
+        manifest.version = 2;
+        std::fs::write(&manifest_path, encode_manifest(&manifest).unwrap()).unwrap();
+        let files = || -> std::collections::BTreeMap<String, Vec<u8>> {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read(&path).unwrap())
+                })
+                .collect()
+        };
+        let before = files();
+        let opened = Cmdl::open(&dir, CmdlConfig::fast(), || {
+            panic!("a newer directory must not be rebuilt from source")
+        });
+        assert!(matches!(
+            opened,
+            Err(CmdlError::NewerLayout {
+                found: 2,
+                supported: 1
+            })
+        ));
+        let after = files();
+        assert!(after.keys().all(|name| !name.contains("salvaged")));
+        assert_eq!(after, before, "every file byte-unchanged");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Execute a query against the current generation and keep the hits.

@@ -42,7 +42,8 @@ pub enum ErrorCode {
     /// A durability operation failed: the write-ahead log or a segment
     /// checkpoint could not be written, or the catalog's persistence layer
     /// is unusable after a simulated or real crash
-    /// ([`CmdlError::Persist`]).
+    /// ([`CmdlError::Persist`]), or a durable directory was written by a
+    /// newer build ([`CmdlError::NewerLayout`]).
     Persist,
     /// A referenced lake (tenant) does not exist in the registry
     /// (transport-level 404 equivalent).
@@ -147,6 +148,15 @@ pub enum CmdlError {
     /// would poison the writer gate). The payload is a free-form
     /// diagnostic detail.
     Internal(String),
+    /// A durable catalog directory was written by a newer build (its
+    /// manifest version is above the newest this build reads). The open
+    /// refuses it and leaves every file as it was.
+    NewerLayout {
+        /// The directory's manifest version.
+        found: u64,
+        /// The newest manifest version this build reads.
+        supported: u64,
+    },
 }
 
 impl CmdlError {
@@ -160,7 +170,7 @@ impl CmdlError {
             CmdlError::JointModelMissing => ErrorCode::JointModelMissing,
             CmdlError::InvalidQuery(_) => ErrorCode::InvalidQuery,
             CmdlError::EmptyTrainingData(_) => ErrorCode::EmptyTrainingData,
-            CmdlError::Persist(_) => ErrorCode::Persist,
+            CmdlError::Persist(_) | CmdlError::NewerLayout { .. } => ErrorCode::Persist,
             CmdlError::Internal(_) => ErrorCode::Internal,
         }
     }
@@ -181,6 +191,7 @@ impl CmdlError {
             | CmdlError::EmptyTrainingData(reason)
             | CmdlError::Persist(reason)
             | CmdlError::Internal(reason) => Some(reason.clone()),
+            CmdlError::NewerLayout { found, .. } => Some(format!("manifest version {found}")),
         }
     }
 }
@@ -209,6 +220,11 @@ impl fmt::Display for CmdlError {
             }
             CmdlError::Persist(reason) => write!(f, "persistence failure: {reason}"),
             CmdlError::Internal(reason) => write!(f, "internal invariant violated: {reason}"),
+            CmdlError::NewerLayout { found, supported } => write!(
+                f,
+                "the catalog directory was written by a newer build \
+                 (manifest version {found}; this build reads up to {supported})"
+            ),
         }
     }
 }
@@ -278,6 +294,14 @@ mod tests {
                 CmdlError::Persist("wal fsync failed".into()),
                 ErrorCode::Persist,
                 Some("wal fsync failed"),
+            ),
+            (
+                CmdlError::NewerLayout {
+                    found: 2,
+                    supported: 1,
+                },
+                ErrorCode::Persist,
+                Some("manifest version 2"),
             ),
             (
                 CmdlError::Internal("missing id".into()),

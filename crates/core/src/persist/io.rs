@@ -40,6 +40,15 @@ pub enum PersistError {
     /// The fault plan has killed this "process": every operation fails
     /// until the caller reopens with a fresh [`Io`].
     Crashed,
+    /// The manifest was written by a newer build: its layout version is
+    /// above the newest this build reads. Nothing is damaged, so recovery
+    /// must leave the directory as it is rather than rebuild over it.
+    NewerLayout {
+        /// The manifest's version.
+        found: u64,
+        /// The newest version this build reads.
+        supported: u64,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -48,6 +57,10 @@ impl fmt::Display for PersistError {
             PersistError::Io(detail) => write!(f, "io failure: {detail}"),
             PersistError::Corrupt(detail) => write!(f, "corruption detected: {detail}"),
             PersistError::Crashed => write!(f, "simulated crash: persistence layer is dead"),
+            PersistError::NewerLayout { found, supported } => write!(
+                f,
+                "manifest version {found} is newer than this build reads (up to {supported})"
+            ),
         }
     }
 }

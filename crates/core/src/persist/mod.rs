@@ -65,10 +65,15 @@ pub struct Manifest {
     pub last_applied_lsn: u64,
 }
 
-/// Current manifest format version.
+/// Current manifest format version: the segment layout this build
+/// writes and the newest it reads. Bump it when a section that loading
+/// requires is added, or when a section's encoding changes, so that an
+/// older build refuses the directory ([`PersistError::NewerLayout`])
+/// instead of taking the unknown layout for damage. A section that loading
+/// ignores needs no bump.
 pub const MANIFEST_VERSION: u64 = 1;
 
-fn encode_manifest(manifest: &Manifest) -> Result<Vec<u8>, PersistError> {
+pub(crate) fn encode_manifest(manifest: &Manifest) -> Result<Vec<u8>, PersistError> {
     let payload = serde_json::to_string(manifest)
         .map_err(|e| PersistError::Io(format!("manifest serialize: {e}")))?;
     let mut bytes = MANIFEST_MAGIC.to_vec();
@@ -77,7 +82,7 @@ fn encode_manifest(manifest: &Manifest) -> Result<Vec<u8>, PersistError> {
     Ok(bytes)
 }
 
-fn decode_manifest(bytes: &[u8]) -> Result<Manifest, PersistError> {
+pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<Manifest, PersistError> {
     if bytes.len() < 16 || &bytes[..8] != MANIFEST_MAGIC {
         return Err(PersistError::Corrupt("manifest magic mismatch".into()));
     }
@@ -90,6 +95,12 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, PersistError> {
         .map_err(|_| PersistError::Corrupt("manifest is not utf-8".into()))?;
     let manifest: Manifest = serde_json::from_str(text)
         .map_err(|e| PersistError::Corrupt(format!("manifest failed to parse: {e}")))?;
+    if manifest.version > MANIFEST_VERSION {
+        return Err(PersistError::NewerLayout {
+            found: manifest.version,
+            supported: MANIFEST_VERSION,
+        });
+    }
     if manifest.version != MANIFEST_VERSION {
         return Err(PersistError::Corrupt(format!(
             "manifest version {} unsupported (expected {MANIFEST_VERSION})",
@@ -110,7 +121,9 @@ pub struct LoadedSegment {
 
 /// Load and fully verify the live segment of `dir`. `Ok(None)` means a
 /// fresh directory (no manifest); `Err(Corrupt)` means the manifest or
-/// segment is damaged and the caller should rebuild from source.
+/// segment is damaged and the caller should rebuild from source;
+/// `Err(NewerLayout)` means a newer build wrote the directory, which the
+/// caller must leave untouched.
 pub fn load_segment(io: &Io, dir: &Path) -> Result<Option<LoadedSegment>, PersistError> {
     let manifest_path = dir.join(MANIFEST_NAME);
     if !io.exists(&manifest_path) {

@@ -968,7 +968,7 @@ impl ShardedSnapshot {
             .par_iter()
             .map(|shard| {
                 UnionDiscovery::new(&shard.profiled, &shard.indexes.columns)
-                    .unionable_candidates(table, &query, "ensemble")
+                    .unionable_candidates(table, &query, "ensemble", fetch)
             })
             .collect();
         let mut scores: Vec<UnionScore> = per_shard.into_iter().flatten().collect();

@@ -14,9 +14,13 @@
 //! name or embedding evidence alone, so no value index can prune it — but
 //! each pair is cheap: [`UnionDiscovery::unionable_candidates`] reads the
 //! pair's value overlap from one [`ColumnIndex`] walk per query column,
-//! compares prepared name features, and reuses each column's stored
-//! embedding self-dot. The scan keeps `column_ids` order, so the tie order
-//! inside `greedy_matching` is the pairwise scan's; that scan survives as
+//! computes one name similarity per distinct candidate name (the index
+//! interns names; a per-query-column memo over name ids holds the
+//! results), and reuses each column's stored embedding self-dot. Each
+//! table's pairs keep the pairwise scan's order (query column, then
+//! `column_ids`), so the tie order inside `greedy_matching` is the scan's.
+//! Tables are cut to the requested count in canonical order before their
+//! mappings are named. The pairwise scan survives as
 //! [`UnionDiscovery::unionable_candidates_brute`], the bit-for-bit
 //! reference.
 
@@ -88,7 +92,7 @@ const PAIR_FLOOR: f64 = 0.15;
 
 /// [`UnionDiscovery::unionable_candidates`] or its brute-force reference.
 type CandidateScorer<'a> =
-    fn(&UnionDiscovery<'a>, &str, &[(DeId, &DeProfile)], &str) -> Vec<UnionScore>;
+    fn(&UnionDiscovery<'a>, &str, &[(DeId, &DeProfile)], &str, usize) -> Vec<UnionScore>;
 
 /// Unionability discovery over a profiled lake and its column index (the
 /// two must describe the same catalog generation).
@@ -161,8 +165,8 @@ impl<'a> UnionDiscovery<'a> {
         self.rank_tables(table_name, top_k, measure, Self::unionable_candidates_brute)
     }
 
-    /// Score a local table's unionable candidates with `candidates` and
-    /// keep the `top_k` in canonical order.
+    /// Score a local table's unionable candidates with `candidates`, keeping
+    /// the `top_k` in canonical order.
     fn rank_tables(
         &self,
         table_name: &str,
@@ -179,26 +183,27 @@ impl<'a> UnionDiscovery<'a> {
         if query.is_empty() {
             return Vec::new();
         }
-        let mut results = candidates(self, table_name, &query, measure);
-        sort_union_scores(&mut results);
-        results.truncate(top_k);
-        results
+        candidates(self, table_name, &query, measure, top_k)
     }
 
-    /// The unsorted per-candidate-table scoring underlying
-    /// [`unionable_tables_with`](Self::unionable_tables_with). The query
-    /// columns arrive as explicit `(id, profile)` pairs so they may be
-    /// *foreign* (resident on another shard; only their values, names and
-    /// vectors are read); candidate tables are always local. Because a
-    /// candidate table's columns all live on one shard, the per-table pair
-    /// list — and therefore the tie order inside `greedy_matching` — is
-    /// identical whether the scan runs over the whole lake or is scattered
-    /// across shards and merged with [`sort_union_scores`].
+    /// The `fetch` best candidate tables for
+    /// [`unionable_tables_with`](Self::unionable_tables_with), in canonical
+    /// order ([`sort_union_scores`]). The query columns arrive as explicit
+    /// `(id, profile)` pairs so they may be *foreign* (resident on another
+    /// shard; only their values, names and vectors are read); candidate
+    /// tables are always local. Because a candidate table's columns all
+    /// live on one shard, the per-table pair list — and therefore the tie
+    /// order inside `greedy_matching` — is identical whether the scan runs
+    /// over the whole lake or is scattered across shards and merged with
+    /// [`sort_union_scores`]; and because the canonical order is total
+    /// (table names are unique), each shard's `fetch` best hold the
+    /// merged `fetch` best.
     pub fn unionable_candidates(
         &self,
         query_table: &str,
         query: &[(DeId, &DeProfile)],
         measure: &str,
+        fetch: usize,
     ) -> Vec<UnionScore> {
         let columns = self.columns;
         let query_table_slot = columns.table_slot(query_table);
@@ -215,10 +220,18 @@ impl<'a> UnionDiscovery<'a> {
                 Some((slot, entry, self.profiled.profile(id)?))
             })
             .collect();
+        if candidates.is_empty() {
+            return Vec::new();
+        }
 
-        let mut per_table: HashMap<u32, Vec<(DeId, DeId, f64)>> = HashMap::new();
+        // Pair scores, one row of candidates per query column. Columns
+        // share names, so each row memoizes one name similarity per name
+        // id (NaN: not computed yet).
+        let width = candidates.len();
+        let mut scores = Vec::with_capacity(query.len() * width);
         let mut overlap = columns.overlap_counter();
-        for &(qcol, qprofile) in query {
+        let mut name_memo = vec![f64::NAN; columns.num_names()];
+        for &(_, qprofile) in query {
             let qname = NameFeatures::new(&qprofile.name);
             let qsolo = &qprofile.solo.content;
             let q_self_dot = dot_f32(qsolo, qsolo);
@@ -226,6 +239,7 @@ impl<'a> UnionDiscovery<'a> {
             if !qprofile.tags.numeric {
                 columns.count_overlaps(&qprofile.distinct_values, &mut overlap);
             }
+            name_memo.fill(f64::NAN);
             for &(slot, entry, cprofile) in &candidates {
                 let containment = if qprofile.tags.numeric || entry.numeric {
                     0.0
@@ -233,8 +247,12 @@ impl<'a> UnionDiscovery<'a> {
                     let shared = overlap.get(slot);
                     containment_ratio(shared, q_len).max(containment_ratio(shared, entry.distinct))
                 };
+                let name = &mut name_memo[entry.name_id as usize];
+                if name.is_nan() {
+                    *name = qname.similarity(columns.name(entry.name_id));
+                }
                 let signals = UnionSignals {
-                    name: qname.similarity(&entry.name),
+                    name: *name,
                     containment,
                     numeric: match (&qprofile.numeric, &cprofile.numeric) {
                         (Some(na), Some(nb)) => numeric_overlap(na, nb),
@@ -248,26 +266,65 @@ impl<'a> UnionDiscovery<'a> {
                     )
                     .max(0.0),
                 };
-                let score = signals.by_name(measure);
-                if score > PAIR_FLOOR {
-                    per_table
-                        .entry(entry.table)
-                        .or_default()
-                        .push((qcol, entry.id, score));
-                }
+                scores.push(signals.by_name(measure));
             }
             overlap.clear();
         }
 
-        per_table
+        // Candidate positions grouped by table slot (a counting sort, so
+        // `column_ids` order holds within a table): table `t` owns
+        // `grouped[starts[t]..starts[t + 1]]`.
+        let mut starts = vec![0usize; columns.num_tables() + 1];
+        for (_, entry, _) in &candidates {
+            starts[entry.table as usize + 1] += 1;
+        }
+        for t in 1..starts.len() {
+            starts[t] += starts[t - 1];
+        }
+        let mut grouped = vec![0usize; width];
+        let mut next = starts.clone();
+        for (c, (_, entry, _)) in candidates.iter().enumerate() {
+            grouped[next[entry.table as usize]] = c;
+            next[entry.table as usize] += 1;
+        }
+
+        // Per table, its pairs above the floor in the pairwise scan's order
+        // (query column, then `column_ids`), aligned; the alignments of
+        // every table share one buffer.
+        let mut pairs = Vec::new();
+        let mut matched = Vec::new();
+        let mut ranked: Vec<(f64, u32, std::ops::Range<usize>)> = Vec::new();
+        for (table, bounds) in starts.windows(2).enumerate() {
+            pairs.clear();
+            for (row, &(qcol, _)) in scores.chunks_exact(width).zip(query) {
+                for &c in &grouped[bounds[0]..bounds[1]] {
+                    if row[c] > PAIR_FLOOR {
+                        pairs.push((qcol, candidates[c].1.id, row[c]));
+                    }
+                }
+            }
+            let from = matched.len();
+            greedy_matching(&mut pairs, &mut matched);
+            if matched.len() > from {
+                let table = table as u32;
+                let score =
+                    table_score(&matched[from..], query.len(), columns.table_columns(table));
+                ranked.push((score, table, from..matched.len()));
+            }
+        }
+        // Cut before naming: only the kept tables build their mapping.
+        ranked.sort_by(|a, b| {
+            union_order(
+                (a.0, columns.table_name(a.1)),
+                (b.0, columns.table_name(b.1)),
+            )
+        });
+        ranked.truncate(fetch);
+        ranked
             .into_iter()
-            .filter_map(|(table, pairs)| {
-                self.table_score(
-                    columns.table_name(table).to_string(),
-                    query,
-                    columns.table_columns(table),
-                    &pairs,
-                )
+            .map(|(score, table, range)| {
+                let table = columns.table_name(table).to_string();
+                self.named_score(table, score, query, &matched[range])
             })
             .collect()
     }
@@ -280,6 +337,7 @@ impl<'a> UnionDiscovery<'a> {
         query_table: &str,
         query: &[(DeId, &DeProfile)],
         measure: &str,
+        fetch: usize,
     ) -> Vec<UnionScore> {
         let mut candidates: HashMap<String, Vec<(DeId, DeId, f64)>> = HashMap::new();
         for &(qcol, qprofile) in query {
@@ -302,31 +360,32 @@ impl<'a> UnionDiscovery<'a> {
                 }
             }
         }
-        candidates
+        let mut results: Vec<UnionScore> = candidates
             .into_iter()
-            .filter_map(|(table, pairs)| {
+            .filter_map(|(table, mut pairs)| {
+                let mut mapping = Vec::new();
+                greedy_matching(&mut pairs, &mut mapping);
+                if mapping.is_empty() {
+                    return None;
+                }
                 let candidate_columns = self.profiled.columns_of_table(&table).len();
-                self.table_score(table, query, candidate_columns, &pairs)
+                let score = table_score(&mapping, query.len(), candidate_columns);
+                Some(self.named_score(table, score, query, &mapping))
             })
-            .collect()
+            .collect();
+        sort_union_scores(&mut results);
+        results.truncate(fetch);
+        results
     }
 
-    /// Align one candidate table's scored pairs and normalize the matched
-    /// weight by the larger column count.
-    fn table_score(
+    /// A candidate table's answer, its aligned pairs named.
+    fn named_score(
         &self,
         table: String,
+        score: f64,
         query: &[(DeId, &DeProfile)],
-        candidate_columns: usize,
-        pairs: &[(DeId, DeId, f64)],
-    ) -> Option<UnionScore> {
-        let mapping = greedy_matching(pairs);
-        if mapping.is_empty() {
-            return None;
-        }
-        let matched_weight: f64 = mapping.iter().map(|(_, _, s)| s).sum();
-        let denom = query.len().max(candidate_columns) as f64;
-        let score = (matched_weight / denom).clamp(0.0, 1.0);
+        mapping: &[(DeId, DeId, f64)],
+    ) -> UnionScore {
         let id_mapping: Vec<(DeId, DeId)> = mapping.iter().map(|&(q, c, _)| (q, c)).collect();
         let query_name = |id: DeId| {
             query
@@ -336,8 +395,8 @@ impl<'a> UnionDiscovery<'a> {
                 .unwrap_or_default()
         };
         let named_mapping = mapping
-            .into_iter()
-            .map(|(q, c, s)| {
+            .iter()
+            .map(|&(q, c, s)| {
                 (
                     query_name(q),
                     self.profiled
@@ -348,47 +407,57 @@ impl<'a> UnionDiscovery<'a> {
                 )
             })
             .collect();
-        Some(UnionScore {
+        UnionScore {
             table,
             score,
             mapping: named_mapping,
             id_mapping,
-        })
+        }
     }
+}
+
+/// The table-level score of an alignment: its matched weight normalized
+/// by the larger column count.
+fn table_score(
+    mapping: &[(DeId, DeId, f64)],
+    query_columns: usize,
+    candidate_columns: usize,
+) -> f64 {
+    let matched_weight: f64 = mapping.iter().map(|(_, _, s)| s).sum();
+    (matched_weight / query_columns.max(candidate_columns) as f64).clamp(0.0, 1.0)
 }
 
 /// Sort table-level union scores by score descending, ties by table name —
 /// the canonical order, shared by the single-catalog path and the shard
-/// router's merge. (Candidates come out of a `HashMap`, so without the
-/// tie-break equal-scored tables — and any truncated prefix — would surface
-/// in a run-dependent order.)
+/// router's merge. (The brute scan's candidates come out of a `HashMap`, so
+/// without the tie-break equal-scored tables — and any truncated prefix —
+/// would surface in a run-dependent order.)
 pub fn sort_union_scores(results: &mut [UnionScore]) {
-    results.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.table.cmp(&b.table))
-    });
+    results.sort_by(|a, b| union_order((a.score, &a.table), (b.score, &b.table)));
+}
+
+/// The canonical order over `(score, table name)`: score descending, then
+/// name ascending.
+fn union_order(a: (f64, &str), b: (f64, &str)) -> std::cmp::Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then_with(|| a.1.cmp(b.1))
 }
 
 /// Greedy maximal weighted bipartite matching over `(left, right, weight)`
 /// candidate pairs: repeatedly pick the heaviest pair whose endpoints are
-/// both unmatched.
-fn greedy_matching(pairs: &[(DeId, DeId, f64)]) -> Vec<(DeId, DeId, f64)> {
-    let mut sorted: Vec<&(DeId, DeId, f64)> = pairs.iter().collect();
-    sorted.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-    let mut used_left = std::collections::HashSet::new();
-    let mut used_right = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for &&(l, r, w) in &sorted {
-        if used_left.contains(&l) || used_right.contains(&r) {
-            continue;
+/// both unmatched (ties in `pairs` order; `pairs` is left sorted). The
+/// matched pairs are appended to `out`, heaviest first. A table has a
+/// handful of columns, so the used-endpoint check scans the pairs already
+/// matched.
+fn greedy_matching(pairs: &mut [(DeId, DeId, f64)], out: &mut Vec<(DeId, DeId, f64)>) {
+    pairs.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+    let from = out.len();
+    for &(l, r, w) in pairs.iter() {
+        if out[from..].iter().all(|&(ml, mr, _)| ml != l && mr != r) {
+            out.push((l, r, w));
         }
-        used_left.insert(l);
-        used_right.insert(r);
-        out.push((l, r, w));
     }
-    out
 }
 
 #[cfg(test)]
@@ -465,13 +534,14 @@ mod tests {
 
     #[test]
     fn greedy_matching_is_maximal_one_to_one() {
-        let pairs = vec![
+        let mut pairs = vec![
             (DeId(1), DeId(10), 0.9),
             (DeId(1), DeId(11), 0.8),
             (DeId(2), DeId(10), 0.7),
             (DeId(2), DeId(11), 0.6),
         ];
-        let m = greedy_matching(&pairs);
+        let mut m = Vec::new();
+        greedy_matching(&mut pairs, &mut m);
         assert_eq!(m.len(), 2);
         assert!(m.contains(&(DeId(1), DeId(10), 0.9)));
         assert!(m.contains(&(DeId(2), DeId(11), 0.6)));

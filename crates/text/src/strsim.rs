@@ -63,20 +63,24 @@ fn jaro_flagged(a: &[char], b: &[char], a_matches: &mut [bool], b_matches: &mut 
             k += 1;
         }
     }
+    jaro_score(matches, transpositions, a.len(), b.len())
+}
+
+/// The Jaro formula from the match and transposition counts.
+fn jaro_score(matches: usize, transpositions: usize, a_len: usize, b_len: usize) -> f64 {
     let m = matches as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64 / 2.0) / m) / 3.0
+    (m / a_len as f64 + m / b_len as f64 + (m - transpositions as f64 / 2.0) / m) / 3.0
 }
 
 /// Jaro-Winkler similarity: Jaro boosted by the length of the common prefix.
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    jaro_winkler_chars(&a, &b)
+    winkler(jaro_chars(&a, &b), &a, &b)
 }
 
-/// [`jaro_winkler`] over pre-split characters.
-fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
-    let j = jaro_chars(a, b);
+/// Boost the Jaro similarity `j` of `a` and `b` by their common prefix.
+fn winkler(j: f64, a: &[char], b: &[char]) -> f64 {
     let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count() as f64;
     j + prefix * 0.1 * (1.0 - j)
 }
@@ -112,14 +116,25 @@ pub fn name_similarity(a: &str, b: &str) -> f64 {
 }
 
 /// A name prepared for [`name_similarity`]: its lower-cased characters
-/// (the Jaro-Winkler operand) and its sorted, de-duplicated
-/// [`name_tokens`] (the Jaccard operand). Comparing two prepared names
-/// allocates nothing, so an index can prepare each column name once.
+/// (the Jaro-Winkler operand), their position masks (the bit-parallel
+/// Jaro operand) and its sorted, de-duplicated [`name_tokens`] (the
+/// Jaccard operand). Comparing two prepared names allocates nothing, so an
+/// index can prepare each distinct name once.
 #[derive(Debug, Clone)]
 pub struct NameFeatures {
     lower: Vec<char>,
     tokens: Vec<String>,
+    /// The distinct characters of `lower`, ascending, each with the bit
+    /// mask of its positions. Empty when `lower` is longer than
+    /// [`MASK_BITS`]; such names take [`jaro_chars`].
+    alphabet: Vec<(char, u64)>,
+    /// Per position of `lower`, the index of its character in `alphabet`
+    /// (empty with `alphabet`).
+    ranks: Vec<u8>,
 }
+
+/// Longest operand of the bit-parallel Jaro kernel: one bit per position.
+const MASK_BITS: usize = 64;
 
 impl NameFeatures {
     /// Prepare a name.
@@ -127,9 +142,26 @@ impl NameFeatures {
         let mut tokens = name_tokens(name);
         tokens.sort_unstable();
         tokens.dedup();
+        let lower: Vec<char> = name.to_lowercase().chars().collect();
+        let (mut alphabet, mut ranks) = (Vec::new(), Vec::new());
+        if lower.len() <= MASK_BITS {
+            let mut chars = lower.clone();
+            chars.sort_unstable();
+            chars.dedup();
+            alphabet = chars.into_iter().map(|c| (c, 0u64)).collect();
+            for (i, c) in lower.iter().enumerate() {
+                let rank = alphabet
+                    .binary_search_by(|(a, _)| a.cmp(c))
+                    .expect("every character is in the alphabet");
+                alphabet[rank].1 |= 1 << i;
+                ranks.push(rank as u8);
+            }
+        }
         Self {
-            lower: name.to_lowercase().chars().collect(),
+            lower,
             tokens,
+            alphabet,
+            ranks,
         }
     }
 
@@ -143,8 +175,66 @@ impl NameFeatures {
             let union = (self.tokens.len() + other.tokens.len()) as f64 - inter;
             inter / union
         };
-        let jw = jaro_winkler_chars(&self.lower, &other.lower);
+        let (a, b) = (&self.lower, &other.lower);
+        let j = if a.is_empty() || b.is_empty() || a.len() > MASK_BITS || b.len() > MASK_BITS {
+            jaro_chars(a, b)
+        } else {
+            self.jaro_masked(other)
+        };
+        let jw = winkler(j, a, b);
         jaccard.max(jw * 0.9)
+    }
+
+    /// [`jaro_flagged`] over position masks, for non-empty operands of at
+    /// most [`MASK_BITS`] characters. Each character of `self` takes the
+    /// lowest unmatched position of its character in `other` inside the
+    /// match window — the same first-unmatched position the scalar scan
+    /// picks, so the result is bit-identical.
+    fn jaro_masked(&self, other: &NameFeatures) -> f64 {
+        let (a_len, b_len) = (self.lower.len(), other.lower.len());
+        // Per character of `self`'s alphabet, its positions in `other`.
+        let mut in_other = [0u64; MASK_BITS];
+        let mut theirs = other.alphabet.iter().peekable();
+        for (rank, &(c, _)) in self.alphabet.iter().enumerate() {
+            while theirs.next_if(|&&(o, _)| o < c).is_some() {}
+            if let Some(&&(o, mask)) = theirs.peek() {
+                if o == c {
+                    in_other[rank] = mask;
+                }
+            }
+        }
+        let below = |n: usize| {
+            if n >= MASK_BITS {
+                u64::MAX
+            } else {
+                (1u64 << n) - 1
+            }
+        };
+        let match_distance = (a_len.max(b_len) / 2).saturating_sub(1);
+        let (mut a_matched, mut b_matched, mut matches) = (0u64, 0u64, 0usize);
+        for (i, &rank) in self.ranks.iter().enumerate() {
+            let start = i.saturating_sub(match_distance);
+            let end = (i + match_distance + 1).min(b_len);
+            let open = in_other[rank as usize] & below(end) & !below(start) & !b_matched;
+            if open != 0 {
+                b_matched |= open & open.wrapping_neg();
+                a_matched |= 1 << i;
+                matches += 1;
+            }
+        }
+        if matches == 0 {
+            return 0.0;
+        }
+        let mut transpositions = 0usize;
+        while a_matched != 0 {
+            let (i, k) = (a_matched.trailing_zeros(), b_matched.trailing_zeros());
+            if self.lower[i as usize] != other.lower[k as usize] {
+                transpositions += 1;
+            }
+            a_matched &= a_matched - 1;
+            b_matched &= b_matched - 1;
+        }
+        jaro_score(matches, transpositions, a_len, b_len)
     }
 }
 
@@ -359,14 +449,56 @@ mod tests {
                 (arbitrary_name(&a), words[0].clone()),
             ];
             for (x, y) in &pairs {
-                let expected = reference::name_similarity(x, y).to_bits();
-                proptest::prop_assert_eq!(name_similarity(x, y).to_bits(), expected);
-                proptest::prop_assert_eq!(
-                    NameFeatures::new(x).similarity(&NameFeatures::new(y)).to_bits(),
-                    expected
-                );
-                proptest::prop_assert_eq!(jaro(x, y).to_bits(), reference::jaro(x, y).to_bits());
+                assert_matches_reference(x, y)?;
             }
         }
+
+        /// The bit-parallel kernel takes operands of up to 64 lower-cased
+        /// characters; longer ones take the scalar scan. Both sides of that
+        /// boundary, and runs of one character (where the match window and
+        /// the first-unmatched choice decide the count), must match the
+        /// reference.
+        #[test]
+        fn name_features_match_the_reference_across_the_mask_width(
+            a in proptest::prelude::prop::collection::vec(0u32..0x44_0000, 56..73),
+            b in proptest::prelude::prop::collection::vec(0u32..0x44_0000, 56..73),
+            short in proptest::prelude::prop::collection::vec(0u32..0x44_0000, 1..65),
+            long in proptest::prelude::prop::collection::vec(0u32..0x44_0000, 65..90),
+            run in 0usize..5,
+            run_a in 1usize..80,
+            run_b in 1usize..80,
+            at in 0usize..80,
+        ) {
+            let run = ['a', 'A', '_', 'İ', 'ß'][run];
+            let odd_one_out: String = std::iter::repeat_n(run, run_b)
+                .enumerate()
+                .map(|(i, c)| if i == at % run_b { 'b' } else { c })
+                .collect();
+            let pairs = [
+                (arbitrary_name(&a), arbitrary_name(&b)),
+                (arbitrary_name(&short), arbitrary_name(&long)),
+                (arbitrary_name(&long), arbitrary_name(&short)),
+                (run.to_string().repeat(run_a), run.to_string().repeat(run_b)),
+                (run.to_string().repeat(run_a), odd_one_out),
+            ];
+            for (x, y) in &pairs {
+                assert_matches_reference(x, y)?;
+            }
+        }
+    }
+
+    /// `name_similarity`, `NameFeatures::similarity` and `jaro` of `x` and
+    /// `y` equal the reference's, bit for bit.
+    fn assert_matches_reference(x: &str, y: &str) -> Result<(), proptest::prelude::TestCaseError> {
+        let expected = reference::name_similarity(x, y).to_bits();
+        proptest::prop_assert_eq!(name_similarity(x, y).to_bits(), expected);
+        proptest::prop_assert_eq!(
+            NameFeatures::new(x)
+                .similarity(&NameFeatures::new(y))
+                .to_bits(),
+            expected
+        );
+        proptest::prop_assert_eq!(jaro(x, y).to_bits(), reference::jaro(x, y).to_bits());
+        Ok(())
     }
 }

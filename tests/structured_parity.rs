@@ -5,7 +5,8 @@
 //! The column index is maintained by ingest and removal and rebuilt by
 //! compaction, so parity is checked on batch-built lakes (pharma and
 //! UK-Open), after a hand-picked mutation sequence (an all-null text
-//! column, a removed table name ingested again), and after every step of
+//! column, a removed table name ingested again, a new table reusing a
+//! removed table's column names), and after every step of
 //! random ingest / remove / compact interleavings. The CI
 //! `incremental-parity` job runs it at bench scale (`PARITY_SCALE=bench`);
 //! the default scale keeps it cheap enough for the tier-1 suite.
@@ -164,13 +165,18 @@ fn assert_structured_parity(tag: &str, cmdl: &Cmdl) {
             table_bits(join.joinable_table_candidates_brute(&query)),
             "{tag}: joinable tables of {table}"
         );
-        for measure in MEASURES {
-            let indexed = union.unionable_tables_with(&table, usize::MAX, measure);
-            let brute = union.unionable_tables_with_brute(&table, usize::MAX, measure);
+        // A small `top_k` cuts the indexed path before it names its
+        // tables, where ties at the cut decide membership.
+        for (measure, top_k) in MEASURES
+            .iter()
+            .flat_map(|&m| [usize::MAX, 1, 3].map(|k| (m, k)))
+        {
+            let indexed = union.unionable_tables_with(&table, top_k, measure);
+            let brute = union.unionable_tables_with_brute(&table, top_k, measure);
             assert_eq!(
                 union_bits(&indexed),
                 union_bits(&brute),
-                "{tag}: unionable tables of {table} by {measure}"
+                "{tag}: unionable tables of {table} by {measure}, top {top_k}"
             );
             assert!(indexed.iter().all(|u| u.score.is_finite()));
         }
@@ -245,6 +251,33 @@ fn parity_survives_empty_columns_removal_and_reingest() {
 
     cmdl.compact();
     assert_structured_parity("compacted", &cmdl);
+}
+
+#[test]
+fn parity_holds_when_a_new_table_reuses_removed_column_names() {
+    // The column index interns names and keeps a name after its last
+    // column leaves, so "Remedies" takes over the name ids of "Drugs".
+    let mut cmdl = Cmdl::build(pharma_lake(), CmdlConfig::fast());
+    let drugs = cmdl.profiled.lake.table("Drugs").unwrap().clone();
+    cmdl.remove_table("Drugs").unwrap();
+    let remedies = Table::new(
+        "Remedies",
+        drugs
+            .columns
+            .iter()
+            .map(|c| {
+                let values = c.values.iter().rev().map(|v| match v {
+                    Value::Text(t) => Value::Text(format!("{t}-c")),
+                    other => other.clone(),
+                });
+                Column::new(c.name.clone(), values.collect())
+            })
+            .collect(),
+    );
+    cmdl.ingest_table(remedies).unwrap();
+    assert_structured_parity("Drugs' column names reused", &cmdl);
+    cmdl.compact();
+    assert_structured_parity("reused names compacted", &cmdl);
 }
 
 /// A random miniature table: text columns over a small shared vocabulary
