@@ -12,8 +12,12 @@
 //!   ([`NameFeatures`]) and a column carries its name id, so a name
 //!   comparison tokenizes nothing and a scorer can memoize one similarity
 //!   per distinct name;
-//! * the **solo-vector self-dot** (the squared norm the cosine needs);
+//! * the **solo content vector**, one row per slot in a contiguous
+//!   matrix, with its **self-dot** (the squared norm the cosine needs);
+//! * the **numeric profile** (the range the numeric-overlap signal reads);
 //! * the owning **table slot**, and a **live column count per table**.
+//!
+//! So the unionable pair loop reads only the index, never a profile.
 //!
 //! Every score computed from the index is bit-identical to the pairwise
 //! scan it replaces (the `*_brute` scorers in [`crate::join`] and
@@ -25,7 +29,9 @@
 //! inserts the lake's columns in canonical order; ingestion appends;
 //! removal clears the slot and deletes it from every posting list it was
 //! on; [`IndexCatalog::compact`](crate::indexes::IndexCatalog::compact)
-//! rebuilds, so a compacted index equals a batch-built one. Slots are
+//! rebuilds, so a compacted index equals a batch-built one. The profiled
+//! lake appends and removes its `column_ids` the same way, so the live
+//! slots, in slot order, are the columns in `column_ids` order. Slots are
 //! local to one catalog: a shard looks values up by string, never by
 //! another shard's slot.
 
@@ -33,6 +39,7 @@ use std::collections::HashMap;
 
 use cmdl_datalake::{DeId, DeKind};
 use cmdl_nn::dot_f32;
+use cmdl_sketch::NumericProfile;
 use cmdl_text::strsim::NameFeatures;
 
 use crate::profile::{DeProfile, ProfiledLake};
@@ -54,6 +61,8 @@ pub(crate) struct ColumnEntry {
     pub name_id: u32,
     /// `dot(solo, solo)` of the solo content embedding.
     pub solo_self_dot: f32,
+    /// The numeric profile, for numeric columns.
+    pub numeric_profile: Option<NumericProfile>,
 }
 
 /// A table known to the index.
@@ -89,6 +98,12 @@ pub struct ColumnIndex {
     names: Vec<NameFeatures>,
     /// Column name → name id.
     name_ids: HashMap<String, u32>,
+    /// Per slot, the solo content vector: row `slot` is
+    /// `solo_rows[slot * solo_dim..][..solo_dim]`. A removed slot keeps its
+    /// row until the index is rebuilt.
+    solo_rows: Vec<f32>,
+    /// Length of every solo content vector (set by the first insert).
+    solo_dim: usize,
     /// Total entries over all posting lists.
     num_postings: usize,
 }
@@ -145,6 +160,15 @@ impl ColumnIndex {
             }
         };
         let solo = &profile.solo.content;
+        if self.entries.is_empty() {
+            self.solo_dim = solo.len();
+        }
+        assert_eq!(
+            solo.len(),
+            self.solo_dim,
+            "every solo content vector has the catalog's dimension"
+        );
+        self.solo_rows.extend_from_slice(solo);
         self.entries.push(Some(ColumnEntry {
             id: profile.id,
             table,
@@ -153,6 +177,7 @@ impl ColumnIndex {
             join_candidate: profile.tags.join_candidate,
             name_id,
             solo_self_dot: dot_f32(solo, solo),
+            numeric_profile: profile.numeric.clone(),
         }));
         self.slots.insert(profile.id, slot);
     }
@@ -204,6 +229,7 @@ impl ColumnIndex {
     }
 
     /// The slot and entry of a live column.
+    #[cfg(test)]
     pub(crate) fn entry_of(&self, id: DeId) -> Option<(u32, &ColumnEntry)> {
         let slot = *self.slots.get(&id)?;
         Some((slot, self.entries[slot as usize].as_ref()?))
@@ -212,6 +238,27 @@ impl ColumnIndex {
     /// Every live entry, in slot order.
     pub(crate) fn live_entries(&self) -> impl Iterator<Item = &ColumnEntry> {
         self.entries.iter().flatten()
+    }
+
+    /// Every live slot with its entry, in slot order (which is the
+    /// profiled lake's `column_ids` order; see the module docs).
+    pub(crate) fn live_slots(&self) -> impl Iterator<Item = (u32, &ColumnEntry)> {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, entry)| Some((slot as u32, entry.as_ref()?)))
+    }
+
+    /// The ids of the live columns, in slot order. Equal to the profiled
+    /// lake's `column_ids` for an index of the same generation.
+    pub fn column_ids(&self) -> impl Iterator<Item = DeId> + '_ {
+        self.live_entries().map(|entry| entry.id)
+    }
+
+    /// The solo content vector of a slot.
+    pub(crate) fn solo_row(&self, slot: u32) -> &[f32] {
+        let from = slot as usize * self.solo_dim;
+        &self.solo_rows[from..from + self.solo_dim]
     }
 
     /// The entry at a slot, if live.
@@ -349,6 +396,8 @@ mod tests {
             let profile = profiled.profile(id).unwrap();
             let (slot, entry) = index.entry_of(id).unwrap();
             assert_eq!(entry.distinct, profile.distinct_values.len());
+            assert_eq!(index.solo_row(slot), &profile.solo.content[..]);
+            assert_eq!(entry.numeric_profile, profile.numeric);
             if profile.tags.numeric {
                 continue;
             }
@@ -378,6 +427,7 @@ mod tests {
         assert_eq!(index.len(), profiled.column_ids.len() - removed.len());
         let mut survivors = profiled.clone();
         survivors.column_ids.retain(|id| !removed.contains(id));
+        assert!(index.column_ids().eq(survivors.column_ids.iter().copied()));
         let rebuilt = ColumnIndex::build(&survivors);
         // Same value set and posting volume; slots differ until a rebuild.
         assert_eq!(index.num_values(), rebuilt.num_values());

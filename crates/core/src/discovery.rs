@@ -52,7 +52,7 @@ use crate::persist::{
 };
 use crate::profile::{ElementData, ProfiledLake, Profiler};
 use crate::query::{DiscoveryQuery, QueryResponse};
-use crate::snapshot::CatalogSnapshot;
+use crate::snapshot::{CatalogSnapshot, PkFkSlot};
 use crate::training::{TrainingDatasetGenerator, TrainingGenerationReport};
 
 /// The search scope of a [`DiscoveryQuery::Keyword`] query.
@@ -89,6 +89,12 @@ pub struct Cmdl {
     persist: Option<PersistHandle>,
     /// How a persistent catalog came up (see [`recovery_report`](Cmdl::recovery_report)).
     recovery: Option<RecoveryReport>,
+    /// The PK-FK link set of the current generation's columns (see
+    /// [`crate::snapshot`]). The links read only the columns, so a table
+    /// ingest or removal starts an empty slot (the old one stays with the
+    /// snapshots that pinned it); document writes, training and compaction
+    /// leave the columns, and so the slot, as they were.
+    pkfk: PkFkSlot,
 }
 
 impl Cmdl {
@@ -117,6 +123,7 @@ impl Cmdl {
             training_report: None,
             persist: None,
             recovery: None,
+            pkfk: PkFkSlot::default(),
         }
     }
 
@@ -334,6 +341,7 @@ impl Cmdl {
             training_report: None,
             persist: None,
             recovery: None,
+            pkfk: PkFkSlot::default(),
         })
     }
 
@@ -539,6 +547,7 @@ impl Cmdl {
             indexes: Arc::clone(&self.indexes),
             joint: self.joint.clone(),
             profiler: Arc::clone(&self.profiler),
+            pkfk: Arc::clone(&self.pkfk),
         }
     }
 
@@ -560,6 +569,7 @@ impl Cmdl {
             training_report: None,
             persist: None,
             recovery: None,
+            pkfk: snapshot.pkfk,
         }
     }
 
@@ -668,6 +678,7 @@ impl Cmdl {
             profiled.column_ids.push(profile.id);
             profiled.profiles.insert(profile.id, Arc::new(profile));
         }
+        self.pkfk = PkFkSlot::default();
         self.generation += 1;
         self.maybe_compact();
         Ok(table_idx)
@@ -756,6 +767,7 @@ impl Cmdl {
             }
         }
         profiled.column_ids.retain(|id| !removed_set.contains(id));
+        self.pkfk = PkFkSlot::default();
         self.generation += 1;
         self.maybe_compact();
         Ok(removed.len())

@@ -17,10 +17,19 @@
 //! walks the query's values through the [`ColumnIndex`] posting lists and
 //! scores exactly the columns it reaches — no candidate is missed, so no
 //! recall floor is needed. Numeric queries score the numeric columns
-//! only. The PK-FK sweep ([`pkfk_links_over`]) builds a transient map from
-//! PK value to PK candidate and counts each FK's overlaps through it, so
-//! only pairs that share values (or, with a zero containment threshold,
-//! every pair) reach the threshold and the name comparison. The
+//! only. The PK-FK sweep ([`PkFkLinkSet::sweep`]) builds a transient map
+//! from PK value to PK candidate and counts each FK's overlaps through it,
+//! so only pairs that share values (or, with a zero containment threshold,
+//! every pair) reach the threshold and the name comparison.
+//!
+//! The links that pass the thresholds do not depend on the query, so a
+//! served catalog sweeps once per generation: the first PK-FK query on a
+//! generation fills its [`PkFkLinkSet`] (raw containment, name similarity
+//! and uniqueness per link), every reader of the generation shares it —
+//! as do later generations until a table ingest or removal changes the
+//! columns — and each query only re-scores, sorts and cuts it under its
+//! own weights.
+//! `execute_many` therefore needs no per-batch PK-FK sharing. The
 //! pre-index scans survive as [`JoinDiscovery::joinable_candidates_brute`]
 //! and [`pkfk_links_over_brute`], the references the parity suite holds
 //! the indexed paths to, bit for bit.
@@ -294,19 +303,20 @@ impl<'a> JoinDiscovery<'a> {
         w_name: f64,
         w_uniqueness: f64,
     ) -> Vec<PkFkLink> {
+        self.pkfk_link_set()
+            .ranked((w_containment, w_name, w_uniqueness), usize::MAX)
+    }
+
+    /// The PK-FK links of the whole local lake that pass the configured
+    /// thresholds, unscored (see [`PkFkLinkSet`]).
+    pub fn pkfk_link_set(&self) -> PkFkLinkSet {
         let candidates: Vec<&DeProfile> = self
             .profiled
             .column_ids
             .iter()
             .filter_map(|id| self.profiled.profile(*id))
             .collect();
-        pkfk_links_over(
-            &candidates,
-            self.config,
-            w_containment,
-            w_name,
-            w_uniqueness,
-        )
+        PkFkLinkSet::sweep(&candidates, self.config)
     }
 }
 
@@ -323,22 +333,160 @@ pub fn sort_joinable_tables(tables: &mut [(String, f64)]) {
     });
 }
 
-/// The PK-FK sweep over an explicit candidate set: the single code path
-/// shared by [`JoinDiscovery::pkfk_links_weighted`] (candidates = the local
-/// lake's columns) and the shard router (candidates = every shard's columns,
-/// gathered).
-///
-/// Text pairs are proposed by a transient map from PK value to the text PK
-/// candidates holding it: each FK candidate walks its values through the
-/// map, which counts its exact overlap with every PK at once. With a
-/// positive containment threshold only the PKs it shares a value with can
-/// pass; with a zero (or NaN) threshold every text PK is checked. Numeric
-/// pairs are checked exhaustively. Surviving pairs are then evaluated in
-/// (PK, FK) candidate order — the order of the pairwise scan
-/// [`pkfk_links_over_brute`] — and the final sort is a total order
-/// (qualified names are unique across live tables), so the result is bit
-/// for bit the scan's, and independent of the candidate ordering: a
-/// partitioned gather reproduces the single-catalog links.
+/// Every PK-FK link among a candidate set that passes the configured
+/// containment and name thresholds, with its raw containment, name
+/// similarity and PK uniqueness but no score. The thresholds do not depend
+/// on a query's weights, so one sweep serves every weight triple: a
+/// served catalog keeps one set per generation (see [`crate::snapshot`]),
+/// swept by the first PK-FK query that needs it and shared by all its
+/// readers, and each query re-scores, sorts and cuts it with
+/// [`ranked`](Self::ranked).
+#[derive(Debug)]
+pub struct PkFkLinkSet {
+    /// The passing links in (PK, FK) qualified-name order, each `score` zero.
+    links: Vec<PkFkLink>,
+}
+
+impl PkFkLinkSet {
+    /// The sweep over an explicit candidate set: the single code path
+    /// shared by [`JoinDiscovery::pkfk_link_set`] (candidates = the local
+    /// lake's columns) and the shard router (candidates = every shard's
+    /// columns, gathered).
+    ///
+    /// Text pairs are proposed by a transient map from PK value to the
+    /// text PK candidates holding it: each FK candidate walks its values
+    /// through the map, which counts its exact overlap with every PK at
+    /// once. With a positive containment threshold only the PKs it shares
+    /// a value with can pass; with a zero (or NaN) threshold every text PK
+    /// is checked. Numeric pairs are checked exhaustively. Surviving pairs
+    /// are then evaluated in (PK, FK) candidate order — the order of the
+    /// pairwise scan [`pkfk_links_over_brute`] — so the set holds exactly
+    /// the scan's links.
+    pub fn sweep(columns: &[&DeProfile], config: &CmdlConfig) -> Self {
+        let (pk_candidates, fk_candidates) = pkfk_candidates(columns);
+
+        let (numeric_pks, text_pks): (Vec<u32>, Vec<u32>) = (0..pk_candidates.len() as u32)
+            .partition(|&pi| pk_candidates[pi as usize].tags.numeric);
+        let mut holders: HashMap<&str, Vec<u32>> = HashMap::new();
+        for &pi in &text_pks {
+            for value in &pk_candidates[pi as usize].distinct_values {
+                holders.entry(value.as_str()).or_default().push(pi);
+            }
+        }
+        // A pair sharing no value has containment 0.0 (or the FK is empty,
+        // also 0.0), which passes the threshold only when it is not
+        // positive.
+        let disjoint_pairs_pass = passes_containment(0.0, config.pkfk_containment);
+
+        // (pk index, fk index, containment) of every pair past the threshold.
+        let mut passing: Vec<(u32, u32, f64)> = Vec::new();
+        let mut overlap = OverlapCounter::new(pk_candidates.len());
+        for (fi, fk) in fk_candidates.iter().enumerate() {
+            let fi = fi as u32;
+            let mut check = |pi: u32, containment: f64| {
+                if passes_containment(containment, config.pkfk_containment) {
+                    passing.push((pi, fi, containment));
+                }
+            };
+            if fk.tags.numeric {
+                for &pi in &numeric_pks {
+                    let pk = pk_candidates[pi as usize];
+                    check(pi, numeric_containment(fk, pk));
+                }
+                continue;
+            }
+            for value in &fk.distinct_values {
+                if let Some(pks) = holders.get(value.as_str()) {
+                    for &pi in pks {
+                        overlap.bump(pi);
+                    }
+                }
+            }
+            let fk_len = fk.distinct_values.len();
+            if disjoint_pairs_pass {
+                for &pi in &text_pks {
+                    check(pi, containment_ratio(overlap.get(pi), fk_len));
+                }
+            } else {
+                for (pi, shared) in overlap.touched() {
+                    check(pi, containment_ratio(shared, fk_len));
+                }
+            }
+            overlap.clear();
+        }
+        passing.sort_unstable_by_key(|&(pi, fi, _)| (pi, fi));
+
+        let mut pk_names: Vec<Option<[NameFeatures; 2]>> = vec![None; pk_candidates.len()];
+        let mut fk_names: Vec<Option<[NameFeatures; 2]>> = vec![None; fk_candidates.len()];
+        let prepare = |p: &DeProfile| {
+            [
+                NameFeatures::new(&p.name),
+                NameFeatures::new(&p.qualified_name),
+            ]
+        };
+        let mut links = Vec::new();
+        let mut seen: HashSet<(DeId, DeId)> = HashSet::new();
+        for (pi, fi, containment) in passing {
+            let (pk, fk) = (pk_candidates[pi as usize], fk_candidates[fi as usize]);
+            if pk.id == fk.id || pk.table_name == fk.table_name {
+                continue;
+            }
+            let [pk_name, pk_qualified] = pk_names[pi as usize].get_or_insert_with(|| prepare(pk));
+            let [fk_name, fk_qualified] = fk_names[fi as usize].get_or_insert_with(|| prepare(fk));
+            let name_sim = pk_name
+                .similarity(fk_name)
+                .max(pk_qualified.similarity(fk_qualified));
+            if name_sim < config.pkfk_name_similarity {
+                continue;
+            }
+            if !seen.insert((pk.id, fk.id)) {
+                continue;
+            }
+            links.push(unscored_link(pk, fk, containment, name_sim));
+        }
+        // Name order, the ranking's tie-break, becomes position order.
+        links.sort_by(|a, b| (&a.pk_name, &a.fk_name).cmp(&(&b.pk_name, &b.fk_name)));
+        Self { links }
+    }
+
+    /// The links ranked under one `(containment, name, uniqueness)` weight
+    /// triple, cut to the first `fetch`. Each link is scored exactly as the
+    /// pairwise scan scores it, and ranked in the scan's order: score
+    /// descending, then PK and FK qualified names. The set is kept in name
+    /// order, so the tie-break is a position compare. Qualified names are
+    /// unique across live tables, so for finite weights the order is total:
+    /// the top `fetch` can be selected before they are sorted, the result
+    /// is bit for bit the scan's, and it does not depend on the candidate
+    /// ordering — a partitioned gather reproduces the single-catalog links.
+    pub fn ranked(&self, weights: (f64, f64, f64), fetch: usize) -> Vec<PkFkLink> {
+        let mut order: Vec<(f64, u32)> = self
+            .links
+            .iter()
+            .enumerate()
+            .map(|(at, link)| (link_score(link, weights), at as u32))
+            .collect();
+        let rank = |a: &(f64, u32), b: &(f64, u32)| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        };
+        if fetch < order.len() {
+            order.select_nth_unstable_by(fetch, rank);
+            order.truncate(fetch);
+        }
+        order.sort_unstable_by(rank);
+        order
+            .into_iter()
+            .map(|(score, at)| PkFkLink {
+                score,
+                ..self.links[at as usize].clone()
+            })
+            .collect()
+    }
+}
+
+/// The PK-FK sweep over an explicit candidate set, scored under one weight
+/// triple: [`PkFkLinkSet::sweep`] then [`PkFkLinkSet::ranked`], uncut.
 pub fn pkfk_links_over(
     columns: &[&DeProfile],
     config: &CmdlConfig,
@@ -346,94 +494,7 @@ pub fn pkfk_links_over(
     w_name: f64,
     w_uniqueness: f64,
 ) -> Vec<PkFkLink> {
-    let (pk_candidates, fk_candidates) = pkfk_candidates(columns);
-
-    let (numeric_pks, text_pks): (Vec<u32>, Vec<u32>) =
-        (0..pk_candidates.len() as u32).partition(|&pi| pk_candidates[pi as usize].tags.numeric);
-    let mut holders: HashMap<&str, Vec<u32>> = HashMap::new();
-    for &pi in &text_pks {
-        for value in &pk_candidates[pi as usize].distinct_values {
-            holders.entry(value.as_str()).or_default().push(pi);
-        }
-    }
-    // A pair sharing no value has containment 0.0 (or the FK is empty,
-    // also 0.0), which passes the threshold only when it is not positive.
-    let disjoint_pairs_pass = passes_containment(0.0, config.pkfk_containment);
-
-    // (pk index, fk index, containment) of every pair past the threshold.
-    let mut passing: Vec<(u32, u32, f64)> = Vec::new();
-    let mut overlap = OverlapCounter::new(pk_candidates.len());
-    for (fi, fk) in fk_candidates.iter().enumerate() {
-        let fi = fi as u32;
-        let mut check = |pi: u32, containment: f64| {
-            if passes_containment(containment, config.pkfk_containment) {
-                passing.push((pi, fi, containment));
-            }
-        };
-        if fk.tags.numeric {
-            for &pi in &numeric_pks {
-                let pk = pk_candidates[pi as usize];
-                check(pi, numeric_containment(fk, pk));
-            }
-            continue;
-        }
-        for value in &fk.distinct_values {
-            if let Some(pks) = holders.get(value.as_str()) {
-                for &pi in pks {
-                    overlap.bump(pi);
-                }
-            }
-        }
-        let fk_len = fk.distinct_values.len();
-        if disjoint_pairs_pass {
-            for &pi in &text_pks {
-                check(pi, containment_ratio(overlap.get(pi), fk_len));
-            }
-        } else {
-            for (pi, shared) in overlap.touched() {
-                check(pi, containment_ratio(shared, fk_len));
-            }
-        }
-        overlap.clear();
-    }
-    passing.sort_unstable_by_key(|&(pi, fi, _)| (pi, fi));
-
-    let mut pk_names: Vec<Option<[NameFeatures; 2]>> = vec![None; pk_candidates.len()];
-    let mut fk_names: Vec<Option<[NameFeatures; 2]>> = vec![None; fk_candidates.len()];
-    let prepare = |p: &DeProfile| {
-        [
-            NameFeatures::new(&p.name),
-            NameFeatures::new(&p.qualified_name),
-        ]
-    };
-    let mut links = Vec::new();
-    let mut seen: HashSet<(DeId, DeId)> = HashSet::new();
-    for (pi, fi, containment) in passing {
-        let (pk, fk) = (pk_candidates[pi as usize], fk_candidates[fi as usize]);
-        if pk.id == fk.id || pk.table_name == fk.table_name {
-            continue;
-        }
-        let [pk_name, pk_qualified] = pk_names[pi as usize].get_or_insert_with(|| prepare(pk));
-        let [fk_name, fk_qualified] = fk_names[fi as usize].get_or_insert_with(|| prepare(fk));
-        let name_sim = pk_name
-            .similarity(fk_name)
-            .max(pk_qualified.similarity(fk_qualified));
-        if name_sim < config.pkfk_name_similarity {
-            continue;
-        }
-        if !seen.insert((pk.id, fk.id)) {
-            continue;
-        }
-        links.push(pkfk_link(
-            pk,
-            fk,
-            containment,
-            name_sim,
-            (w_containment, w_name, w_uniqueness),
-        ));
-    }
-    sort_pkfk_links(&mut links);
-    links
+    PkFkLinkSet::sweep(columns, config).ranked((w_containment, w_name, w_uniqueness), usize::MAX)
 }
 
 /// [`pkfk_links_over`] as a scan over every (PK, FK) candidate pair — the
@@ -473,16 +534,18 @@ pub fn pkfk_links_over_brute(
             if !seen.insert((pk.id, fk.id)) {
                 continue;
             }
-            links.push(pkfk_link(
-                pk,
-                fk,
-                containment,
-                name_sim,
-                (w_containment, w_name, w_uniqueness),
-            ));
+            let mut link = unscored_link(pk, fk, containment, name_sim);
+            link.score = link_score(&link, (w_containment, w_name, w_uniqueness));
+            links.push(link);
         }
     }
-    sort_pkfk_links(&mut links);
+    links.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.pk_name.cmp(&b.pk_name))
+            .then_with(|| a.fk_name.cmp(&b.fk_name))
+    });
     links
 }
 
@@ -523,36 +586,23 @@ fn numeric_containment(fk: &DeProfile, pk: &DeProfile) -> f64 {
     }
 }
 
-/// Assemble one link with its `(containment, name, uniqueness)` blend.
-fn pkfk_link(
-    pk: &DeProfile,
-    fk: &DeProfile,
-    containment: f64,
-    name_sim: f64,
-    (w_containment, w_name, w_uniqueness): (f64, f64, f64),
-) -> PkFkLink {
+/// One passing link with its raw signals and a zero score.
+fn unscored_link(pk: &DeProfile, fk: &DeProfile, containment: f64, name_sim: f64) -> PkFkLink {
     PkFkLink {
         pk: pk.id,
         fk: fk.id,
         pk_name: pk.qualified_name.clone(),
         fk_name: fk.qualified_name.clone(),
-        score: w_containment * containment + w_name * name_sim + w_uniqueness * pk.uniqueness,
+        score: 0.0,
         containment,
         name_sim,
         uniqueness: pk.uniqueness,
     }
 }
 
-/// Tie-break on the qualified names so equal-scored links (and thus any
-/// truncated prefix) surface in a run-independent order.
-fn sort_pkfk_links(links: &mut [PkFkLink]) {
-    links.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.pk_name.cmp(&b.pk_name))
-            .then_with(|| a.fk_name.cmp(&b.fk_name))
-    });
+/// A link's `(containment, name, uniqueness)` blend.
+fn link_score(link: &PkFkLink, (w_containment, w_name, w_uniqueness): (f64, f64, f64)) -> f64 {
+    w_containment * link.containment + w_name * link.name_sim + w_uniqueness * link.uniqueness
 }
 
 /// Sort scored join candidates by score descending, ties by ascending id —

@@ -54,9 +54,14 @@
 //! into the index scans — the kind predicate is evaluated *inside* the BM25
 //! top-k heap, not post-filtered — so a page is always full when enough
 //! matching elements exist.
+//!
+//! A batch ([`execute_many`](CatalogSnapshot::execute_many)) is the same
+//! queries run in parallel, with no batch-level sharing: the one piece of
+//! work a PK-FK query does not depend on — the sweep for links that pass
+//! the configured thresholds — is kept per generation (see
+//! [`crate::snapshot`]) and shared by every reader, batched or not.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -65,12 +70,12 @@ use cmdl_datalake::{DeId, DeKind};
 use cmdl_index::ScoringFunction;
 use rayon::prelude::*;
 
-use crate::config::CrossModalStrategy;
+use crate::config::{CmdlConfig, CrossModalStrategy};
 use crate::discovery::SearchMode;
 use crate::error::CmdlError;
 use crate::join::{JoinDiscovery, PkFkLink};
 use crate::snapshot::CatalogSnapshot;
-use crate::union::{UnionDiscovery, UnionScore};
+use crate::union::{UnionCandidate, UnionDiscovery, UnionScore};
 
 /// A scoring signal that can contribute to a hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -140,7 +145,7 @@ impl ScoreBreakdown {
 }
 
 /// Per-query overrides of the configured signal-blend weights. `None` keeps
-/// the [`CmdlConfig`](crate::config::CmdlConfig) default for that signal.
+/// the [`CmdlConfig`] default for that signal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SignalWeights {
     /// Cross-modal embedding-cosine weight
@@ -486,24 +491,12 @@ pub struct QueryResponse {
     pub elapsed_micros: u64,
 }
 
-/// Ranked PK-FK link lists shared across a batch, keyed by the resolved
-/// weight triple (as bits, so the key is `Eq`).
-type PkFkCache = HashMap<(u64, u64, u64), Arc<Vec<PkFkLink>>>;
-
 impl CatalogSnapshot {
     /// Execute one typed [`DiscoveryQuery`] against this pinned generation.
     ///
     /// Every query kind — Q1 keyword through PK-FK — runs through this one
     /// entry point.
     pub fn execute(&self, query: &DiscoveryQuery) -> Result<QueryResponse, CmdlError> {
-        self.execute_cached(query, None)
-    }
-
-    fn execute_cached(
-        &self,
-        query: &DiscoveryQuery,
-        pkfk_cache: Option<&PkFkCache>,
-    ) -> Result<QueryResponse, CmdlError> {
         let started = Instant::now();
         let options = query.options();
         if options.top_k == 0 {
@@ -573,7 +566,7 @@ impl CatalogSnapshot {
                 self.run_joinable_columns(table, column, fetch)?
             }
             DiscoveryQuery::Unionable { table, .. } => self.run_unionable(table, fetch)?,
-            DiscoveryQuery::PkFk { .. } => self.run_pkfk(fetch, &options.weights, pkfk_cache),
+            DiscoveryQuery::PkFk { .. } => self.run_pkfk(fetch, &options.weights),
         };
         hits.retain(|h| h.score >= options.min_score);
         let total_candidates = hits.len();
@@ -592,60 +585,17 @@ impl CatalogSnapshot {
     }
 
     /// Execute a batch of queries in parallel (rayon). Results are returned
-    /// in input order; per-query failures do not abort the batch.
-    ///
-    /// Batch-level amortization: the whole-lake PK-FK scan — the one query
-    /// kind whose cost does not depend on `top_k` — is computed once per
-    /// distinct weight triple and shared by every `PkFk` query in the batch,
-    /// so a serving batch never repeats the O(columns²) sweep.
+    /// in input order; per-query failures do not abort the batch. `PkFk`
+    /// queries need no batch-level sharing: every reader of a generation
+    /// already shares its one link set.
     pub fn execute_many(
         &self,
         queries: &[DiscoveryQuery],
     ) -> Vec<Result<QueryResponse, CmdlError>> {
-        let mut triples: Vec<(u64, u64, u64)> = queries
-            .iter()
-            .filter_map(|query| match query {
-                DiscoveryQuery::PkFk { options } => Some(self.pkfk_weight_key(&options.weights)),
-                _ => None,
-            })
-            .collect();
-        triples.sort_unstable();
-        triples.dedup();
-        let pkfk_cache: PkFkCache = triples
-            .into_iter()
-            .map(|key @ (wc, wn, wu)| {
-                let discovery =
-                    JoinDiscovery::new(&self.profiled, &self.indexes.columns, &self.config);
-                let links = discovery.pkfk_links_weighted(
-                    f64::from_bits(wc),
-                    f64::from_bits(wn),
-                    f64::from_bits(wu),
-                );
-                (key, Arc::new(links))
-            })
-            .collect();
         queries
             .par_iter()
-            .map(|query| self.execute_cached(query, Some(&pkfk_cache)))
+            .map(|query| self.execute(query))
             .collect()
-    }
-
-    /// The resolved PK-FK weight triple of a query, as a hashable bit key.
-    pub(crate) fn pkfk_weight_key(&self, weights: &SignalWeights) -> (u64, u64, u64) {
-        (
-            weights
-                .containment
-                .unwrap_or(self.config.pkfk_containment_weight)
-                .to_bits(),
-            weights
-                .name
-                .unwrap_or(self.config.pkfk_name_weight)
-                .to_bits(),
-            weights
-                .uniqueness
-                .unwrap_or(self.config.pkfk_uniqueness_weight)
-                .to_bits(),
-        )
     }
 
     /// The cross-modal strategy the auto path uses: joint when trained,
@@ -788,69 +738,44 @@ impl CatalogSnapshot {
 
     /// Q5: unionable-table discovery. The breakdown carries the ensemble
     /// signals of the best-matched column pair (the evidence that anchored
-    /// the mapping); the score itself is the normalized matched weight.
+    /// the mapping), as the union kernel computed them; the score itself is
+    /// the normalized matched weight.
     fn run_unionable(&self, table: &str, fetch: usize) -> Result<Vec<Hit>, CmdlError> {
         if self.profiled.lake.table(table).is_none() {
             return Err(CmdlError::UnknownTable(table.to_string()));
         }
-        let discovery = UnionDiscovery::new(&self.profiled, &self.indexes.columns);
-        Ok(discovery
-            .unionable_tables(table, fetch)
+        Ok(UnionDiscovery::new(&self.profiled, &self.indexes.columns)
+            .unionable_tables_anchored(table, fetch)
             .into_iter()
-            .map(|score| {
-                let mut breakdown = ScoreBreakdown::default();
-                if let Some(&(q, c)) = score.id_mapping.first() {
-                    if let (Some(qp), Some(cp)) =
-                        (self.profiled.profile(q), self.profiled.profile(c))
-                    {
-                        breakdown = union_breakdown(&discovery.signals(qp, cp));
-                    }
-                }
-                Hit {
-                    element: None,
-                    label: score.table.clone(),
-                    table: Some(score.table.clone()),
-                    score: score.score,
-                    breakdown,
-                    pkfk: None,
-                    union: Some(score),
-                }
-            })
+            .map(union_hit)
             .collect())
     }
 
     /// PK-FK link discovery, ranked by the (possibly re-weighted) blend of
-    /// containment, name similarity, and PK uniqueness. A batch-shared link
-    /// list (from [`execute_many`](Self::execute_many)) is reused when
-    /// available.
-    fn run_pkfk(
-        &self,
-        fetch: usize,
-        weights: &SignalWeights,
-        pkfk_cache: Option<&PkFkCache>,
-    ) -> Vec<Hit> {
-        let w_contain = weights
-            .containment
-            .unwrap_or(self.config.pkfk_containment_weight);
-        let w_name = weights.name.unwrap_or(self.config.pkfk_name_weight);
-        let w_unique = weights
-            .uniqueness
-            .unwrap_or(self.config.pkfk_uniqueness_weight);
-        let links = match pkfk_cache.and_then(|cache| cache.get(&self.pkfk_weight_key(weights))) {
-            // Clone only the fetched prefix of the batch-shared list.
-            Some(shared) => shared.iter().take(fetch).cloned().collect(),
-            None => {
-                let mut links =
-                    JoinDiscovery::new(&self.profiled, &self.indexes.columns, &self.config)
-                        .pkfk_links_weighted(w_contain, w_name, w_unique);
-                links.truncate(fetch);
-                links
-            }
-        };
-        pkfk_link_hits(links, w_contain, w_name, w_unique, |id| {
+    /// containment, name similarity, and PK uniqueness. The links come from
+    /// this generation's link set, swept by the first PK-FK query on the
+    /// generation and shared by every snapshot of it.
+    fn run_pkfk(&self, fetch: usize, weights: &SignalWeights) -> Vec<Hit> {
+        let weights = pkfk_weights(&self.config, weights);
+        let links = self.pkfk.get_or_init(|| {
+            JoinDiscovery::new(&self.profiled, &self.indexes.columns, &self.config).pkfk_link_set()
+        });
+        pkfk_link_hits(links.ranked(weights, fetch), weights, |id| {
             self.profiled.profile(id).and_then(|p| p.table_name.clone())
         })
     }
+}
+
+/// A query's PK-FK `(containment, name, uniqueness)` weights, each
+/// defaulting to the configured one.
+pub(crate) fn pkfk_weights(config: &CmdlConfig, weights: &SignalWeights) -> (f64, f64, f64) {
+    (
+        weights
+            .containment
+            .unwrap_or(config.pkfk_containment_weight),
+        weights.name.unwrap_or(config.pkfk_name_weight),
+        weights.uniqueness.unwrap_or(config.pkfk_uniqueness_weight),
+    )
 }
 
 /// ANN/LSH probe depth for a cross-modal page of `fetch` hits: columns
@@ -951,9 +876,7 @@ where
 /// the single-catalog and sharded paths.
 pub(crate) fn pkfk_link_hits<F>(
     links: Vec<PkFkLink>,
-    w_contain: f64,
-    w_name: f64,
-    w_unique: f64,
+    (w_contain, w_name, w_unique): (f64, f64, f64),
     table_of: F,
 ) -> Vec<Hit>
 where
@@ -978,6 +901,21 @@ where
             }
         })
         .collect()
+}
+
+/// A unionable answer as a hit, its breakdown from the anchor pair's
+/// signals — shared by the single-catalog and sharded paths.
+pub(crate) fn union_hit(candidate: UnionCandidate) -> Hit {
+    let UnionCandidate { union, anchor } = candidate;
+    Hit {
+        element: None,
+        label: union.table.clone(),
+        table: Some(union.table.clone()),
+        score: union.score,
+        breakdown: union_breakdown(&anchor),
+        pkfk: None,
+        union: Some(union),
+    }
 }
 
 /// The provenance breakdown of a unionable hit from the best-matched column

@@ -42,9 +42,15 @@
 //! 4. **Shared ranking code.** Every merge runs the same comparators and
 //!    aggregation helpers as the single-catalog path
 //!    ([`crate::join::sort_join_candidates`],
-//!    [`crate::union::sort_union_scores`], [`crate::join::pkfk_links_over`],
+//!    [`crate::union::sort_union_candidates`], [`crate::join::PkFkLinkSet`],
 //!    and the doc-to-table aggregation in [`crate::query`]), all of which
-//!    are total orders over disjoint per-shard inputs.
+//!    are total orders over disjoint per-shard inputs. PK-FK is the one
+//!    gathered kind: the router sweeps every shard's columns once, keeps
+//!    the [`PkFkLinkSet`] until a table ingest
+//!    or removal changes the columns, and shares it with every snapshot
+//!    taken meanwhile, so
+//!    [`execute_many`](ShardedSnapshot::execute_many) does no per-batch
+//!    PK-FK work.
 //!
 //! ## Keyword (BM25) semantics across shards
 //!
@@ -93,21 +99,15 @@ use crate::config::{CmdlConfig, ShardPolicy};
 use crate::discovery::{Cmdl, SearchMode};
 use crate::error::CmdlError;
 use crate::indexes::{DeltaStats, IndexCatalog};
-use crate::join::{
-    pkfk_links_over, sort_join_candidates, sort_joinable_tables, JoinDiscovery, PkFkLink,
-};
+use crate::join::{sort_join_candidates, sort_joinable_tables, JoinDiscovery, PkFkLinkSet};
 use crate::profile::{DeProfile, Profiler};
 use crate::query::{
-    aggregate_doc_to_table, pkfk_link_hits, probe_depth, union_breakdown, DiscoveryQuery, DocQuery,
-    Hit, QueryResponse, ScoreBreakdown, Signal, SignalWeights,
+    aggregate_doc_to_table, pkfk_link_hits, pkfk_weights, probe_depth, union_hit, DiscoveryQuery,
+    DocQuery, Hit, QueryResponse, ScoreBreakdown, Signal, SignalWeights,
 };
-use crate::snapshot::CatalogSnapshot;
+use crate::snapshot::{CatalogSnapshot, PkFkSlot};
 use crate::stats::{CmdlStats, IndexSizes};
-use crate::union::{sort_union_scores, UnionDiscovery, UnionScore};
-
-/// Ranked PK-FK link lists shared across a batch, keyed by the resolved
-/// weight triple as bits (mirrors the single-catalog batch cache).
-type PkFkCache = HashMap<(u64, u64, u64), Arc<Vec<PkFkLink>>>;
+use crate::union::{sort_union_candidates, UnionCandidate, UnionDiscovery};
 
 /// Routing state: everything needed to decide *where* an element lives.
 /// Guarded by the first lock in the router's ordering (see the lock-order
@@ -138,6 +138,10 @@ struct ReplicaState {
     /// Router-level generation, bumped once per mutation (and once per
     /// [`compact`](ShardedCmdl::compact)).
     generation: u64,
+    /// The PK-FK link set over every shard's columns, shared by the router
+    /// generations with the same columns: a table ingest or removal starts
+    /// an empty one.
+    pkfk: PkFkSlot,
 }
 
 /// A sharded CMDL deployment: `N` independent catalogs behind one router
@@ -276,6 +280,7 @@ impl ShardedCmdl {
             replica: Mutex::new(ReplicaState {
                 sketch,
                 generation: 0,
+                pkfk: PkFkSlot::default(),
             }),
         }
     }
@@ -335,6 +340,7 @@ impl ShardedCmdl {
             sketch: Arc::clone(&replica.sketch),
             profiler: Arc::clone(&self.profiler),
             doc_locations: Arc::clone(&route.doc_locations),
+            pkfk: Arc::clone(&replica.pkfk),
         }
     }
 
@@ -406,6 +412,7 @@ impl ShardedCmdl {
         for profile in &new_profiles {
             sketch.ingest_profile_sketch_only(profile);
         }
+        replica.pkfk = PkFkSlot::default();
         replica.generation += 1;
         Ok(table_idx)
     }
@@ -480,6 +487,7 @@ impl ShardedCmdl {
         for profile in &removed_profiles {
             sketch.remove_element_sketch_only(profile);
         }
+        replica.pkfk = PkFkSlot::default();
         replica.generation += 1;
         Ok(removed)
     }
@@ -582,6 +590,7 @@ pub struct ShardedSnapshot {
     sketch: Arc<IndexCatalog>,
     profiler: Arc<Profiler>,
     doc_locations: Arc<Vec<Option<(usize, usize)>>>,
+    pkfk: PkFkSlot,
 }
 
 impl ShardedSnapshot {
@@ -590,14 +599,6 @@ impl ShardedSnapshot {
     /// (validation, `min_score`, pagination, timing) and — by construction —
     /// the same hits.
     pub fn execute(&self, query: &DiscoveryQuery) -> Result<QueryResponse, CmdlError> {
-        self.execute_cached(query, None)
-    }
-
-    fn execute_cached(
-        &self,
-        query: &DiscoveryQuery,
-        pkfk_cache: Option<&PkFkCache>,
-    ) -> Result<QueryResponse, CmdlError> {
         let started = Instant::now();
         let options = query.options();
         if options.top_k == 0 {
@@ -639,7 +640,7 @@ impl ShardedSnapshot {
                 self.run_joinable_columns(table, column, fetch)?
             }
             DiscoveryQuery::Unionable { table, .. } => self.run_unionable(table, fetch)?,
-            DiscoveryQuery::PkFk { .. } => self.run_pkfk(fetch, &options.weights, pkfk_cache),
+            DiscoveryQuery::PkFk { .. } => self.run_pkfk(fetch, &options.weights),
         };
         hits.retain(|h| h.score >= options.min_score);
         let total_candidates = hits.len();
@@ -657,34 +658,15 @@ impl ShardedSnapshot {
         })
     }
 
-    /// Execute a batch of queries in parallel (rayon), sharing one PK-FK
-    /// sweep per distinct weight triple across the whole batch — the
-    /// whole-lake sweep is the one query whose cost does not depend on
-    /// `top_k`, so a serving batch never repeats it.
+    /// Execute a batch of queries in parallel (rayon). Results are returned
+    /// in input order; `PkFk` queries share the generation's one link set.
     pub fn execute_many(
         &self,
         queries: &[DiscoveryQuery],
     ) -> Vec<Result<QueryResponse, CmdlError>> {
-        let mut triples: Vec<(u64, u64, u64)> = queries
-            .iter()
-            .filter_map(|query| match query {
-                DiscoveryQuery::PkFk { options } => Some(self.pkfk_weight_key(&options.weights)),
-                _ => None,
-            })
-            .collect();
-        triples.sort_unstable();
-        triples.dedup();
-        let pkfk_cache: PkFkCache = triples
-            .into_iter()
-            .map(|key @ (wc, wn, wu)| {
-                let links =
-                    self.pkfk_links(f64::from_bits(wc), f64::from_bits(wn), f64::from_bits(wu));
-                (key, Arc::new(links))
-            })
-            .collect();
         queries
             .par_iter()
-            .map(|query| self.execute_cached(query, Some(&pkfk_cache)))
+            .map(|query| self.execute(query))
             .collect()
     }
 
@@ -963,7 +945,7 @@ impl ShardedSnapshot {
         if query.is_empty() {
             return Ok(Vec::new());
         }
-        let per_shard: Vec<Vec<UnionScore>> = self
+        let per_shard: Vec<Vec<UnionCandidate>> = self
             .shards
             .par_iter()
             .map(|shard| {
@@ -971,102 +953,37 @@ impl ShardedSnapshot {
                     .unionable_candidates(table, &query, "ensemble", fetch)
             })
             .collect();
-        let mut scores: Vec<UnionScore> = per_shard.into_iter().flatten().collect();
-        sort_union_scores(&mut scores);
-        scores.truncate(fetch);
-        // `signals` only reads the two profiles, so any shard's engine
-        // computes the breakdown of a cross-shard pair.
-        let reference = UnionDiscovery::new(&owner.profiled, &owner.indexes.columns);
-        Ok(scores
-            .into_iter()
-            .map(|score| {
-                let mut breakdown = ScoreBreakdown::default();
-                if let Some(&(q, c)) = score.id_mapping.first() {
-                    if let (Some(qp), Some(cp)) = (self.profile_global(q), self.profile_global(c)) {
-                        breakdown = union_breakdown(&reference.signals(qp, cp));
-                    }
-                }
-                Hit {
-                    element: None,
-                    label: score.table.clone(),
-                    table: Some(score.table.clone()),
-                    score: score.score,
-                    breakdown,
-                    pkfk: None,
-                    union: Some(score),
-                }
-            })
-            .collect())
+        let mut candidates: Vec<UnionCandidate> = per_shard.into_iter().flatten().collect();
+        sort_union_candidates(&mut candidates);
+        candidates.truncate(fetch);
+        Ok(candidates.into_iter().map(union_hit).collect())
     }
 
-    /// The whole-lake PK-FK sweep over profiles gathered from every shard
-    /// in global id order (the sweep itself is order-independent; the
-    /// gather keeps the iteration deterministic).
-    fn pkfk_links(&self, w_containment: f64, w_name: f64, w_uniqueness: f64) -> Vec<PkFkLink> {
-        let mut columns: Vec<(DeId, &DeProfile)> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .profiled
-                    .column_ids
-                    .iter()
-                    .filter_map(|&id| shard.profiled.profile(id).map(|p| (id, p)))
-            })
-            .collect();
-        columns.sort_by_key(|&(id, _)| id);
-        let candidates: Vec<&DeProfile> = columns.into_iter().map(|(_, p)| p).collect();
-        pkfk_links_over(
-            &candidates,
-            &self.config,
-            w_containment,
-            w_name,
-            w_uniqueness,
-        )
-    }
-
-    /// The resolved PK-FK weight triple as a hashable bit key (mirrors the
-    /// single-catalog batch cache key).
-    fn pkfk_weight_key(&self, weights: &SignalWeights) -> (u64, u64, u64) {
-        (
-            weights
-                .containment
-                .unwrap_or(self.config.pkfk_containment_weight)
-                .to_bits(),
-            weights
-                .name
-                .unwrap_or(self.config.pkfk_name_weight)
-                .to_bits(),
-            weights
-                .uniqueness
-                .unwrap_or(self.config.pkfk_uniqueness_weight)
-                .to_bits(),
-        )
-    }
-
-    /// PK-FK discovery, reusing a batch-shared link list when available.
-    fn run_pkfk(
-        &self,
-        fetch: usize,
-        weights: &SignalWeights,
-        pkfk_cache: Option<&PkFkCache>,
-    ) -> Vec<Hit> {
-        let w_contain = weights
-            .containment
-            .unwrap_or(self.config.pkfk_containment_weight);
-        let w_name = weights.name.unwrap_or(self.config.pkfk_name_weight);
-        let w_unique = weights
-            .uniqueness
-            .unwrap_or(self.config.pkfk_uniqueness_weight);
-        let links = match pkfk_cache.and_then(|cache| cache.get(&self.pkfk_weight_key(weights))) {
-            Some(shared) => shared.iter().take(fetch).cloned().collect(),
-            None => {
-                let mut links = self.pkfk_links(w_contain, w_name, w_unique);
-                links.truncate(fetch);
-                links
-            }
-        };
-        pkfk_link_hits(links, w_contain, w_name, w_unique, |id| self.table_of(id))
+    /// PK-FK discovery from this generation's link set, swept on first use
+    /// over profiles gathered from every shard in global id order (the
+    /// sweep itself is order-independent; the gather keeps the iteration
+    /// deterministic).
+    fn run_pkfk(&self, fetch: usize, weights: &SignalWeights) -> Vec<Hit> {
+        let weights = pkfk_weights(&self.config, weights);
+        let links = self.pkfk.get_or_init(|| {
+            let mut columns: Vec<(DeId, &DeProfile)> = self
+                .shards
+                .iter()
+                .flat_map(|shard| {
+                    shard
+                        .profiled
+                        .column_ids
+                        .iter()
+                        .filter_map(|&id| shard.profiled.profile(id).map(|p| (id, p)))
+                })
+                .collect();
+            columns.sort_by_key(|&(id, _)| id);
+            let candidates: Vec<&DeProfile> = columns.into_iter().map(|(_, p)| p).collect();
+            PkFkLinkSet::sweep(&candidates, &self.config)
+        });
+        pkfk_link_hits(links.ranked(weights, fetch), weights, |id| {
+            self.table_of(id)
+        })
     }
 }
 

@@ -13,6 +13,14 @@
 //! [`crate::query`]) or [`execute_many`](CatalogSnapshot::execute_many)
 //! against a pinned generation.
 //!
+//! A generation's PK-FK link set ([`PkFkLinkSet`]) does not depend on the
+//! query, so it is kept with the generation: the first PK-FK query on a
+//! generation sweeps it, every snapshot of that generation shares it, and
+//! it is freed with the last generation that holds it. The links read only
+//! the columns, so a writer starts an empty slot on a table ingest or
+//! removal, and a generation that changed only documents, the joint model
+//! or the index layout (compaction) keeps its predecessor's slot.
+//!
 //! Servers keep their current snapshot in an `RwLock` slot
 //! that readers clone out of. [`publish`] and [`publish_if`] are the only
 //! way a new generation enters such a slot: they swap under the write
@@ -21,10 +29,11 @@
 //!
 //! [`Cmdl`]: crate::discovery::Cmdl
 
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use crate::config::CmdlConfig;
 use crate::indexes::IndexCatalog;
+use crate::join::PkFkLinkSet;
 use crate::joint::JointModel;
 use crate::profile::{ProfiledLake, Profiler};
 
@@ -43,7 +52,14 @@ pub struct CatalogSnapshot {
     pub joint: Option<Arc<JointModel>>,
     /// The profiler (for query-text transformation).
     pub profiler: Arc<Profiler>,
+    /// This generation's PK-FK link set, once a PK-FK query has swept it.
+    pub(crate) pkfk: PkFkSlot,
 }
+
+/// A generation's PK-FK link set, filled by the first PK-FK query that
+/// needs it and shared by every snapshot of the generations with the same
+/// columns.
+pub(crate) type PkFkSlot = Arc<OnceLock<PkFkLinkSet>>;
 
 /// Store `next` in `slot` and return the value it replaced.
 ///
@@ -96,6 +112,39 @@ mod tests {
             assert_eq!(live.generation, pinned.generation);
             assert_eq!(live.hits, pinned.hits, "{} diverges", query.kind());
         }
+    }
+
+    #[test]
+    fn pkfk_link_set_follows_the_columns_not_the_generation() {
+        let lake = synth::pharma::generate(&synth::PharmaConfig::tiny()).lake;
+        let mut cmdl = Cmdl::build(lake, CmdlConfig::fast());
+        let first = cmdl.snapshot();
+        first.execute(&QueryBuilder::pkfk().build()).unwrap();
+        assert!(first.pkfk.get().is_some(), "the first PK-FK query sweeps");
+
+        cmdl.ingest_document(cmdl_datalake::Document::new("Note", "test", "a drug note"))
+            .unwrap();
+        cmdl.compact();
+        let documents_only = cmdl.snapshot();
+        assert!(documents_only.generation > first.generation);
+        assert!(
+            std::sync::Arc::ptr_eq(&first.pkfk, &documents_only.pkfk),
+            "a document ingest and a compaction keep the link set"
+        );
+
+        let drugs = cmdl.profiled.lake.table("Drugs").unwrap().clone();
+        cmdl.remove_table("Drugs").unwrap();
+        let removed = cmdl.snapshot();
+        assert!(
+            removed.pkfk.get().is_none(),
+            "a table removal starts a new set"
+        );
+        cmdl.ingest_table(drugs).unwrap();
+        assert!(!std::sync::Arc::ptr_eq(
+            &removed.pkfk,
+            &cmdl.snapshot().pkfk
+        ));
+        assert!(first.pkfk.get().is_some(), "pinned snapshots keep theirs");
     }
 
     /// A value whose `Drop` records whether the slot it lived in could be

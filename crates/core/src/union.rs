@@ -12,19 +12,28 @@
 //!
 //! Every column pair is still scored — the ensemble can exceed the floor on
 //! name or embedding evidence alone, so no value index can prune it — but
-//! each pair is cheap: [`UnionDiscovery::unionable_candidates`] reads the
-//! pair's value overlap from one [`ColumnIndex`] walk per query column,
-//! computes one name similarity per distinct candidate name (the index
-//! interns names; a per-query-column memo over name ids holds the
-//! results), and reuses each column's stored embedding self-dot. Each
-//! table's pairs keep the pairwise scan's order (query column, then
-//! `column_ids`), so the tie order inside `greedy_matching` is the scan's.
-//! Tables are cut to the requested count in canonical order before their
-//! mappings are named. The pairwise scan survives as
+//! each pair is cheap, and the pair loop of
+//! [`UnionDiscovery::unionable_candidates`] reads only the [`ColumnIndex`]:
+//! one posting walk per query column gives every pair's value overlap, a
+//! per-query-column memo over the index's interned names computes one
+//! name similarity per distinct candidate name, and each candidate's solo
+//! vector, self-dot and numeric profile sit in its index slot. The measure
+//! is resolved once per query.
+//!
+//! Only the tables that can reach the answer are matched. Each table gets
+//! an upper bound on its score from its pairs above the floor (see
+//! `score_bound`); tables are matched in descending bound order, and the
+//! scan stops once `fetch` tables are ranked and the next bound is below
+//! the `fetch`-th score. A table's pairs keep the pairwise scan's order
+//! (query column, then `column_ids`), so the tie order inside
+//! `greedy_matching` is the scan's. The kept tables are named, and each
+//! carries the signals of its heaviest matched pair as the kernel computed
+//! them (the served breakdown). The pairwise scan survives as
 //! [`UnionDiscovery::unionable_candidates_brute`], the bit-for-bit
 //! reference.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -62,12 +71,39 @@ impl UnionSignals {
 
     /// The score of a single named measure (used by the Table 5 analysis).
     pub fn by_name(&self, measure: &str) -> f64 {
+        Measure::parse(measure).score(self)
+    }
+}
+
+/// A pair measure resolved from its name: `"name"`, `"containment"`,
+/// `"numeric"`, `"semantic"`, or (any other string) the ensemble.
+#[derive(Debug, Clone, Copy)]
+enum Measure {
+    Name,
+    Containment,
+    Numeric,
+    Semantic,
+    Ensemble,
+}
+
+impl Measure {
+    fn parse(measure: &str) -> Self {
         match measure {
-            "name" => self.name,
-            "containment" => self.containment,
-            "numeric" => self.numeric,
-            "semantic" => self.semantic,
-            _ => self.ensemble(),
+            "name" => Self::Name,
+            "containment" => Self::Containment,
+            "numeric" => Self::Numeric,
+            "semantic" => Self::Semantic,
+            _ => Self::Ensemble,
+        }
+    }
+
+    fn score(self, signals: &UnionSignals) -> f64 {
+        match self {
+            Self::Name => signals.name,
+            Self::Containment => signals.containment,
+            Self::Numeric => signals.numeric,
+            Self::Semantic => signals.semantic,
+            Self::Ensemble => signals.ensemble(),
         }
     }
 }
@@ -87,12 +123,31 @@ pub struct UnionScore {
     pub id_mapping: Vec<(DeId, DeId)>,
 }
 
+/// A candidate table's answer with the signals of its heaviest matched
+/// pair (`union.id_mapping[0]`) — the evidence a served hit's breakdown
+/// shows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UnionCandidate {
+    /// The table-level answer.
+    pub union: UnionScore,
+    /// The four signals of the heaviest matched pair.
+    pub anchor: UnionSignals,
+}
+
 /// A column pair must score above this to propose its table.
 const PAIR_FLOOR: f64 = 0.15;
 
 /// [`UnionDiscovery::unionable_candidates`] or its brute-force reference.
 type CandidateScorer<'a> =
-    fn(&UnionDiscovery<'a>, &str, &[(DeId, &DeProfile)], &str, usize) -> Vec<UnionScore>;
+    fn(&UnionDiscovery<'a>, &str, &[(DeId, &DeProfile)], &str, usize) -> Vec<UnionCandidate>;
+
+/// A query column prepared once per query.
+struct QueryColumn<'q> {
+    id: DeId,
+    profile: &'q DeProfile,
+    name: NameFeatures,
+    solo_self_dot: f32,
+}
 
 /// Unionability discovery over a profiled lake and its column index (the
 /// two must describe the same catalog generation).
@@ -141,6 +196,12 @@ impl<'a> UnionDiscovery<'a> {
         self.unionable_tables_with(table_name, top_k, "ensemble")
     }
 
+    /// [`unionable_tables`](Self::unionable_tables), each table with the
+    /// signals of its heaviest matched pair (the served path).
+    pub fn unionable_tables_anchored(&self, table_name: &str, top_k: usize) -> Vec<UnionCandidate> {
+        self.rank_tables(table_name, top_k, "ensemble", Self::unionable_candidates)
+    }
+
     /// Find unionable tables scoring column pairs with a single named measure
     /// (`"name"`, `"containment"`, `"numeric"`, `"semantic"`) or the ensemble
     /// (any other string). Used by the individual-measure analysis (Table 5).
@@ -150,7 +211,7 @@ impl<'a> UnionDiscovery<'a> {
         top_k: usize,
         measure: &str,
     ) -> Vec<UnionScore> {
-        self.rank_tables(table_name, top_k, measure, Self::unionable_candidates)
+        unanchored(self.rank_tables(table_name, top_k, measure, Self::unionable_candidates))
     }
 
     /// [`unionable_tables_with`](Self::unionable_tables_with) over
@@ -162,7 +223,7 @@ impl<'a> UnionDiscovery<'a> {
         top_k: usize,
         measure: &str,
     ) -> Vec<UnionScore> {
-        self.rank_tables(table_name, top_k, measure, Self::unionable_candidates_brute)
+        unanchored(self.rank_tables(table_name, top_k, measure, Self::unionable_candidates_brute))
     }
 
     /// Score a local table's unionable candidates with `candidates`, keeping
@@ -173,7 +234,7 @@ impl<'a> UnionDiscovery<'a> {
         top_k: usize,
         measure: &str,
         candidates: CandidateScorer<'a>,
-    ) -> Vec<UnionScore> {
+    ) -> Vec<UnionCandidate> {
         let query: Vec<(DeId, &DeProfile)> = self
             .profiled
             .columns_of_table(table_name)
@@ -188,85 +249,66 @@ impl<'a> UnionDiscovery<'a> {
 
     /// The `fetch` best candidate tables for
     /// [`unionable_tables_with`](Self::unionable_tables_with), in canonical
-    /// order ([`sort_union_scores`]). The query columns arrive as explicit
-    /// `(id, profile)` pairs so they may be *foreign* (resident on another
-    /// shard; only their values, names and vectors are read); candidate
-    /// tables are always local. Because a candidate table's columns all
-    /// live on one shard, the per-table pair list — and therefore the tie
-    /// order inside `greedy_matching` — is identical whether the scan runs
-    /// over the whole lake or is scattered across shards and merged with
-    /// [`sort_union_scores`]; and because the canonical order is total
-    /// (table names are unique), each shard's `fetch` best hold the
-    /// merged `fetch` best.
+    /// order ([`sort_union_candidates`]). The query columns arrive as
+    /// explicit `(id, profile)` pairs so they may be *foreign* (resident on
+    /// another shard; only their values, names and vectors are read);
+    /// candidate tables are always local. Because a candidate table's
+    /// columns all live on one shard, the per-table pair list — and
+    /// therefore the tie order inside `greedy_matching` — is identical
+    /// whether the scan runs over the whole lake or is scattered across
+    /// shards and merged with [`sort_union_candidates`]; and because the
+    /// canonical order is total (table names are unique), each shard's
+    /// `fetch` best hold the merged `fetch` best.
     pub fn unionable_candidates(
         &self,
         query_table: &str,
         query: &[(DeId, &DeProfile)],
         measure: &str,
         fetch: usize,
-    ) -> Vec<UnionScore> {
+    ) -> Vec<UnionCandidate> {
         let columns = self.columns;
+        let measure = Measure::parse(measure);
         let query_table_slot = columns.table_slot(query_table);
         // Candidate columns of other tables, in `column_ids` order.
-        let candidates: Vec<(u32, &ColumnEntry, &DeProfile)> = self
-            .profiled
-            .column_ids
-            .iter()
-            .filter_map(|&id| {
-                let (slot, entry) = columns.entry_of(id)?;
-                if Some(entry.table) == query_table_slot {
-                    return None;
-                }
-                Some((slot, entry, self.profiled.profile(id)?))
-            })
+        let candidates: Vec<(u32, &ColumnEntry)> = columns
+            .live_slots()
+            .filter(|(_, entry)| Some(entry.table) != query_table_slot)
             .collect();
-        if candidates.is_empty() {
+        if candidates.is_empty() || fetch == 0 {
             return Vec::new();
         }
+        let rows: Vec<QueryColumn> = query
+            .iter()
+            .map(|&(id, profile)| QueryColumn {
+                id,
+                profile,
+                name: NameFeatures::new(&profile.name),
+                solo_self_dot: dot_f32(&profile.solo.content, &profile.solo.content),
+            })
+            .collect();
 
-        // Pair scores, one row of candidates per query column. Columns
+        // Pair scores, one row of candidates per query column, with each
+        // pair's value overlap (for the kept tables' anchors). Columns
         // share names, so each row memoizes one name similarity per name
         // id (NaN: not computed yet).
         let width = candidates.len();
-        let mut scores = Vec::with_capacity(query.len() * width);
+        let mut scores = Vec::with_capacity(rows.len() * width);
+        let mut shared = Vec::with_capacity(rows.len() * width);
         let mut overlap = columns.overlap_counter();
         let mut name_memo = vec![f64::NAN; columns.num_names()];
-        for &(_, qprofile) in query {
-            let qname = NameFeatures::new(&qprofile.name);
-            let qsolo = &qprofile.solo.content;
-            let q_self_dot = dot_f32(qsolo, qsolo);
-            let q_len = qprofile.distinct_values.len();
-            if !qprofile.tags.numeric {
-                columns.count_overlaps(&qprofile.distinct_values, &mut overlap);
+        for row in &rows {
+            if !row.profile.tags.numeric {
+                columns.count_overlaps(&row.profile.distinct_values, &mut overlap);
             }
             name_memo.fill(f64::NAN);
-            for &(slot, entry, cprofile) in &candidates {
-                let containment = if qprofile.tags.numeric || entry.numeric {
-                    0.0
-                } else {
-                    let shared = overlap.get(slot);
-                    containment_ratio(shared, q_len).max(containment_ratio(shared, entry.distinct))
-                };
+            for &(slot, entry) in &candidates {
                 let name = &mut name_memo[entry.name_id as usize];
                 if name.is_nan() {
-                    *name = qname.similarity(columns.name(entry.name_id));
+                    *name = row.name.similarity(columns.name(entry.name_id));
                 }
-                let signals = UnionSignals {
-                    name: *name,
-                    containment,
-                    numeric: match (&qprofile.numeric, &cprofile.numeric) {
-                        (Some(na), Some(nb)) => numeric_overlap(na, nb),
-                        _ => 0.0,
-                    },
-                    semantic: cosine_with_self_dots(
-                        qsolo,
-                        &cprofile.solo.content,
-                        q_self_dot,
-                        entry.solo_self_dot,
-                    )
-                    .max(0.0),
-                };
-                scores.push(signals.by_name(measure));
+                let count = overlap.get(slot);
+                scores.push(measure.score(&self.pair_signals(row, slot, entry, count, *name)));
+                shared.push(count);
             }
             overlap.clear();
         }
@@ -275,7 +317,7 @@ impl<'a> UnionDiscovery<'a> {
         // `column_ids` order holds within a table): table `t` owns
         // `grouped[starts[t]..starts[t + 1]]`.
         let mut starts = vec![0usize; columns.num_tables() + 1];
-        for (_, entry, _) in &candidates {
+        for (_, entry) in &candidates {
             starts[entry.table as usize + 1] += 1;
         }
         for t in 1..starts.len() {
@@ -283,50 +325,132 @@ impl<'a> UnionDiscovery<'a> {
         }
         let mut grouped = vec![0usize; width];
         let mut next = starts.clone();
-        for (c, (_, entry, _)) in candidates.iter().enumerate() {
+        for (c, (_, entry)) in candidates.iter().enumerate() {
             grouped[next[entry.table as usize]] = c;
             next[entry.table as usize] += 1;
         }
+        let group = |table: u32| &grouped[starts[table as usize]..starts[table as usize + 1]];
 
-        // Per table, its pairs above the floor in the pairwise scan's order
-        // (query column, then `column_ids`), aligned; the alignments of
-        // every table share one buffer.
-        let mut pairs = Vec::new();
-        let mut matched = Vec::new();
-        let mut ranked: Vec<(f64, u32, std::ops::Range<usize>)> = Vec::new();
-        for (table, bounds) in starts.windows(2).enumerate() {
+        // Each table with a pair above the floor, with the bound on its
+        // score, highest bound first (ties by slot).
+        let mut row_max = vec![0.0f64; rows.len()];
+        let mut column_max = Vec::new();
+        let mut by_bound: Vec<(f64, u32)> = Vec::new();
+        for table in 0..columns.num_tables() as u32 {
+            let members = group(table);
+            row_max.fill(0.0);
+            column_max.clear();
+            column_max.resize(members.len(), 0.0f64);
+            let mut proposed = false;
+            for (row, r_max) in scores.chunks_exact(width).zip(&mut row_max) {
+                for (&c, c_max) in members.iter().zip(&mut column_max) {
+                    let score = row[c];
+                    if score > PAIR_FLOOR {
+                        proposed = true;
+                        *r_max = r_max.max(score);
+                        *c_max = c_max.max(score);
+                    }
+                }
+            }
+            if proposed {
+                let bound = score_bound(&row_max, &column_max);
+                by_bound.push((bound, table));
+            }
+        }
+        by_bound.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+
+        // Align tables in bound order, keeping the `fetch` best in
+        // canonical order. Each table's pairs above the floor keep the
+        // pairwise scan's order (query column, then `column_ids`); the
+        // alignments of every table share one buffer.
+        let table_order = |(score, table): (f64, u32)| (score, columns.table_name(table));
+        let mut pairs: Vec<(u32, u32, f64)> = Vec::new();
+        let mut matched: Vec<(u32, u32, f64)> = Vec::new();
+        let mut ranked: Vec<(f64, u32, Range<usize>)> = Vec::new();
+        for (bound, table) in by_bound {
+            if ranked.len() == fetch && bound < ranked[fetch - 1].0 {
+                break;
+            }
             pairs.clear();
-            for (row, &(qcol, _)) in scores.chunks_exact(width).zip(query) {
-                for &c in &grouped[bounds[0]..bounds[1]] {
+            for (r, row) in scores.chunks_exact(width).enumerate() {
+                for &c in group(table) {
                     if row[c] > PAIR_FLOOR {
-                        pairs.push((qcol, candidates[c].1.id, row[c]));
+                        pairs.push((r as u32, c as u32, row[c]));
                     }
                 }
             }
             let from = matched.len();
             greedy_matching(&mut pairs, &mut matched);
-            if matched.len() > from {
-                let table = table as u32;
-                let score =
-                    table_score(&matched[from..], query.len(), columns.table_columns(table));
-                ranked.push((score, table, from..matched.len()));
+            let score = table_score(&matched[from..], rows.len(), columns.table_columns(table));
+            let at = ranked.partition_point(|&(s, t, _)| {
+                union_order(table_order((s, t)), table_order((score, table))).is_lt()
+            });
+            if at < fetch {
+                ranked.insert(at, (score, table, from..matched.len()));
+                ranked.truncate(fetch);
             }
         }
-        // Cut before naming: only the kept tables build their mapping.
-        ranked.sort_by(|a, b| {
-            union_order(
-                (a.0, columns.table_name(a.1)),
-                (b.0, columns.table_name(b.1)),
-            )
-        });
-        ranked.truncate(fetch);
+
+        // Name the kept tables; each anchor is its heaviest pair's signals.
         ranked
             .into_iter()
             .map(|(score, table, range)| {
-                let table = columns.table_name(table).to_string();
-                self.named_score(table, score, query, &matched[range])
+                let mapping = &matched[range];
+                let (r, c, _) = mapping[0];
+                let (row, (slot, entry)) = (&rows[r as usize], candidates[c as usize]);
+                let name = row.name.similarity(columns.name(entry.name_id));
+                let count = shared[r as usize * width + c as usize];
+                let ids: Vec<(DeId, DeId, f64)> = mapping
+                    .iter()
+                    .map(|&(r, c, w)| (rows[r as usize].id, candidates[c as usize].1.id, w))
+                    .collect();
+                UnionCandidate {
+                    union: self.named_score(
+                        columns.table_name(table).to_string(),
+                        score,
+                        query,
+                        &ids,
+                    ),
+                    anchor: self.pair_signals(row, slot, entry, count, name),
+                }
             })
             .collect()
+    }
+
+    /// The signals of a query column against an indexed candidate, from
+    /// the index alone: `shared` is their value overlap and `name` their
+    /// name similarity. Bit-identical to [`signals`](Self::signals) of the
+    /// two profiles.
+    fn pair_signals(
+        &self,
+        row: &QueryColumn,
+        slot: u32,
+        entry: &ColumnEntry,
+        shared: u32,
+        name: f64,
+    ) -> UnionSignals {
+        let query = row.profile;
+        let containment = if query.tags.numeric || entry.numeric {
+            0.0
+        } else {
+            containment_ratio(shared, query.distinct_values.len())
+                .max(containment_ratio(shared, entry.distinct))
+        };
+        UnionSignals {
+            name,
+            containment,
+            numeric: match (&query.numeric, &entry.numeric_profile) {
+                (Some(na), Some(nb)) => numeric_overlap(na, nb),
+                _ => 0.0,
+            },
+            semantic: cosine_with_self_dots(
+                &query.solo.content,
+                self.columns.solo_row(slot),
+                row.solo_self_dot,
+                entry.solo_self_dot,
+            )
+            .max(0.0),
+        }
     }
 
     /// [`unionable_candidates`](Self::unionable_candidates) as a scan that
@@ -338,7 +462,7 @@ impl<'a> UnionDiscovery<'a> {
         query: &[(DeId, &DeProfile)],
         measure: &str,
         fetch: usize,
-    ) -> Vec<UnionScore> {
+    ) -> Vec<UnionCandidate> {
         let mut candidates: HashMap<String, Vec<(DeId, DeId, f64)>> = HashMap::new();
         for &(qcol, qprofile) in query {
             for &ccol in &self.profiled.column_ids {
@@ -360,20 +484,28 @@ impl<'a> UnionDiscovery<'a> {
                 }
             }
         }
-        let mut results: Vec<UnionScore> = candidates
+        let profile_of = |id: DeId| {
+            query
+                .iter()
+                .find(|(qid, _)| *qid == id)
+                .map(|&(_, p)| p)
+                .or_else(|| self.profiled.profile(id))
+        };
+        let mut results: Vec<UnionCandidate> = candidates
             .into_iter()
             .filter_map(|(table, mut pairs)| {
                 let mut mapping = Vec::new();
                 greedy_matching(&mut pairs, &mut mapping);
-                if mapping.is_empty() {
-                    return None;
-                }
+                let &(q, c, _) = mapping.first()?;
                 let candidate_columns = self.profiled.columns_of_table(&table).len();
                 let score = table_score(&mapping, query.len(), candidate_columns);
-                Some(self.named_score(table, score, query, &mapping))
+                Some(UnionCandidate {
+                    anchor: self.signals(profile_of(q)?, profile_of(c)?),
+                    union: self.named_score(table, score, query, &mapping),
+                })
             })
             .collect();
-        sort_union_scores(&mut results);
+        sort_union_candidates(&mut results);
         results.truncate(fetch);
         results
     }
@@ -416,10 +548,15 @@ impl<'a> UnionDiscovery<'a> {
     }
 }
 
+/// The table answers without their anchors.
+fn unanchored(candidates: Vec<UnionCandidate>) -> Vec<UnionScore> {
+    candidates.into_iter().map(|c| c.union).collect()
+}
+
 /// The table-level score of an alignment: its matched weight normalized
 /// by the larger column count.
-fn table_score(
-    mapping: &[(DeId, DeId, f64)],
+fn table_score<L, R>(
+    mapping: &[(L, R, f64)],
     query_columns: usize,
     candidate_columns: usize,
 ) -> f64 {
@@ -427,13 +564,39 @@ fn table_score(
     (matched_weight / query_columns.max(candidate_columns) as f64).clamp(0.0, 1.0)
 }
 
-/// Sort table-level union scores by score descending, ties by table name —
+/// An upper bound on a table's [`table_score`], from the per-row and
+/// per-column maxima of its pairs above the floor (zero where a row or
+/// column has none).
+///
+/// A one-to-one matching takes at most one pair per query column and one
+/// per candidate column, so its weight is at most either sum of maxima.
+/// The sums are rounded in another order than the matching's sum, so the
+/// bound is widened by `(rows + columns - 2)` machine epsilons: each sum
+/// of `n` terms rounds at most `n - 1` times, each time by at most half an
+/// epsilon relative, and the extra factor two covers the second-order
+/// terms and the rounding of the product. With one term on each side
+/// (nothing to round) the bound is the score itself. Division and clamp
+/// are monotone, so `table_score(matching) <= score_bound(..)` holds in
+/// floating point, not only in exact arithmetic.
+fn score_bound(row_max: &[f64], column_max: &[f64]) -> f64 {
+    let (rows, cols) = (row_max.len(), column_max.len());
+    let sum = row_max.iter().sum::<f64>().min(column_max.iter().sum());
+    let slack = 1.0 + (rows + cols - 2) as f64 * f64::EPSILON;
+    (sum * slack / rows.max(cols) as f64).clamp(0.0, 1.0)
+}
+
+/// Sort table-level union answers by score descending, ties by table name —
 /// the canonical order, shared by the single-catalog path and the shard
 /// router's merge. (The brute scan's candidates come out of a `HashMap`, so
 /// without the tie-break equal-scored tables — and any truncated prefix —
 /// would surface in a run-dependent order.)
-pub fn sort_union_scores(results: &mut [UnionScore]) {
-    results.sort_by(|a, b| union_order((a.score, &a.table), (b.score, &b.table)));
+pub fn sort_union_candidates(results: &mut [UnionCandidate]) {
+    results.sort_by(|a, b| {
+        union_order(
+            (a.union.score, &a.union.table),
+            (b.union.score, &b.union.table),
+        )
+    });
 }
 
 /// The canonical order over `(score, table name)`: score descending, then
@@ -450,7 +613,10 @@ fn union_order(a: (f64, &str), b: (f64, &str)) -> std::cmp::Ordering {
 /// matched pairs are appended to `out`, heaviest first. A table has a
 /// handful of columns, so the used-endpoint check scans the pairs already
 /// matched.
-fn greedy_matching(pairs: &mut [(DeId, DeId, f64)], out: &mut Vec<(DeId, DeId, f64)>) {
+fn greedy_matching<L: Copy + Eq, R: Copy + Eq>(
+    pairs: &mut [(L, R, f64)],
+    out: &mut Vec<(L, R, f64)>,
+) {
     pairs.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
     let from = out.len();
     for &(l, r, w) in pairs.iter() {

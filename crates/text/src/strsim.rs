@@ -203,24 +203,21 @@ impl NameFeatures {
                 }
             }
         }
-        let below = |n: usize| {
-            if n >= MASK_BITS {
-                u64::MAX
-            } else {
-                (1u64 << n) - 1
-            }
-        };
         let match_distance = (a_len.max(b_len) / 2).saturating_sub(1);
         let (mut a_matched, mut b_matched, mut matches) = (0u64, 0u64, 0usize);
         for (i, &rank) in self.ranks.iter().enumerate() {
+            // The window is positions `start..end` of `other`. Both shifts
+            // stay in 0..64 (`start <= i < 64`, `1 <= end <= 64`), so the
+            // masks need no branch.
             let start = i.saturating_sub(match_distance);
             let end = (i + match_distance + 1).min(b_len);
-            let open = in_other[rank as usize] & below(end) & !below(start) & !b_matched;
-            if open != 0 {
-                b_matched |= open & open.wrapping_neg();
-                a_matched |= 1 << i;
-                matches += 1;
-            }
+            let window = (u64::MAX >> (MASK_BITS - end)) & (u64::MAX << start);
+            let open = in_other[rank as usize] & window & !b_matched;
+            let first = open & open.wrapping_neg();
+            let hit = u64::from(first != 0);
+            b_matched |= first;
+            a_matched |= hit << i;
+            matches += hit as usize;
         }
         if matches == 0 {
             return 0.0;

@@ -7,17 +7,24 @@
 //! UK-Open), after a hand-picked mutation sequence (an all-null text
 //! column, a removed table name ingested again, a new table reusing a
 //! removed table's column names), and after every step of
-//! random ingest / remove / compact interleavings. The CI
-//! `incremental-parity` job runs it at bench scale (`PARITY_SCALE=bench`);
-//! the default scale keeps it cheap enough for the tier-1 suite.
+//! random ingest / remove / compact interleavings. The served paths are
+//! held to the same references: PK-FK answers read from a generation's
+//! shared link set (single and sharded, across weight triples and cuts,
+//! and across the generations an ingest and a removal create), unionable
+//! breakdowns taken from the kernel's anchor pair, and the bound-ordered
+//! table phase on a lake of exact ties. The CI `incremental-parity` job
+//! runs it at bench scale (`PARITY_SCALE=bench`); the default scale keeps
+//! it cheap enough for the tier-1 suite.
 
 mod common;
 
 use proptest::prelude::*;
 
 use cmdl::core::join::{pkfk_links_over, pkfk_links_over_brute, sort_join_candidates};
+use cmdl::core::union::UnionSignals;
 use cmdl::core::{
-    Cmdl, CmdlConfig, DeProfile, JoinDiscovery, PkFkLink, UnionDiscovery, UnionScore,
+    Cmdl, CmdlConfig, DeProfile, DiscoveryQuery, JoinDiscovery, PkFkLink, QueryBuilder,
+    QueryResponse, ScoreBreakdown, ShardedCmdl, Signal, UnionDiscovery, UnionScore,
 };
 use cmdl::datalake::{synth, Column, DataLake, Table, Value};
 
@@ -131,10 +138,9 @@ fn live_tables(cmdl: &Cmdl) -> Vec<String> {
 fn assert_structured_parity(tag: &str, cmdl: &Cmdl) {
     let profiled = &cmdl.profiled;
     let columns = &cmdl.indexes.columns;
-    assert_eq!(
-        columns.len(),
-        profiled.column_ids.len(),
-        "{tag}: column index covers the live columns"
+    assert!(
+        columns.column_ids().eq(profiled.column_ids.iter().copied()),
+        "{tag}: the column index's live slots are the live columns in `column_ids` order"
     );
     let join = JoinDiscovery::new(profiled, columns, &cmdl.config);
     let union = UnionDiscovery::new(profiled, columns);
@@ -359,4 +365,356 @@ proptest! {
             assert_structured_parity(&format!("step {step} (op {op})"), &cmdl);
         }
     }
+}
+
+/// The weight triples the served PK-FK tests rank under: the configured
+/// default (no override) and two overrides.
+const PKFK_WEIGHTS: [Option<(f64, f64, f64)>; 3] =
+    [None, Some((0.2, 0.5, 0.3)), Some((1.0, 0.0, 0.0))];
+
+/// "Every link" as a page size.
+const ALL: usize = 1_000_000;
+
+fn pkfk_query(weights: Option<(f64, f64, f64)>, top_k: usize) -> DiscoveryQuery {
+    let builder = QueryBuilder::pkfk().top_k(top_k);
+    match weights {
+        Some((wc, wn, wu)) => builder
+            .weight_containment(wc)
+            .weight_name(wn)
+            .weight_uniqueness(wu)
+            .build(),
+        None => builder.build(),
+    }
+}
+
+/// The links of a served PK-FK answer, every hit score checked against its
+/// link's.
+fn served_links(response: QueryResponse) -> Vec<PkFkLink> {
+    response
+        .hits
+        .into_iter()
+        .map(|hit| {
+            let link = hit.pkfk.expect("a PK-FK hit carries its link");
+            assert_eq!(hit.score.to_bits(), link.score.to_bits());
+            link
+        })
+        .collect()
+}
+
+/// The brute-force PK-FK answer over `columns` under a query's weights,
+/// cut to `top_k`.
+fn brute_links(
+    columns: &[&DeProfile],
+    config: &CmdlConfig,
+    weights: Option<(f64, f64, f64)>,
+    top_k: usize,
+) -> Vec<PkFkLink> {
+    let (wc, wn, wu) = weights.unwrap_or((
+        config.pkfk_containment_weight,
+        config.pkfk_name_weight,
+        config.pkfk_uniqueness_weight,
+    ));
+    let mut links = pkfk_links_over_brute(columns, config, wc, wn, wu);
+    links.truncate(top_k);
+    links
+}
+
+/// Every column profile of a set of shard catalogs, in id order.
+fn gathered_columns<'a>(
+    shards: impl IntoIterator<Item = &'a cmdl::core::ProfiledLake>,
+) -> Vec<&'a DeProfile> {
+    let mut columns: Vec<&DeProfile> = shards
+        .into_iter()
+        .flat_map(|profiled| {
+            profiled
+                .column_ids
+                .iter()
+                .filter_map(|&id| profiled.profile(id))
+        })
+        .collect();
+    columns.sort_by_key(|p| p.id);
+    columns
+}
+
+fn sharded_config(shards: usize) -> CmdlConfig {
+    CmdlConfig {
+        shards,
+        ..CmdlConfig::fast()
+    }
+}
+
+/// One pinned snapshot answers every weight triple and cut from the link
+/// set its first PK-FK query swept, single and sharded, exactly as the
+/// brute scan ranks under the same weights. (Later triples re-rank the
+/// stored set, so a set stored pre-ranked under the first triple fails.)
+#[test]
+fn served_pkfk_reranks_one_link_set_per_generation() {
+    let config = CmdlConfig::fast();
+    let single = Cmdl::build(pharma_lake(), config.clone()).snapshot();
+    let columns = gathered_columns([&*single.profiled]);
+    let sharded = ShardedCmdl::build(pharma_lake(), sharded_config(3)).snapshot();
+    let sharded_columns = gathered_columns(sharded.shards.iter().map(|s| &*s.profiled));
+    assert!(
+        !brute_links(&columns, &config, None, ALL).is_empty(),
+        "the lake has PK-FK links"
+    );
+    for weights in PKFK_WEIGHTS {
+        for top_k in [1, 7, ALL] {
+            let query = pkfk_query(weights, top_k);
+            let expected = link_bits(&brute_links(&columns, &config, weights, top_k));
+            assert_eq!(
+                link_bits(&served_links(single.execute(&query).unwrap())),
+                expected,
+                "single catalog, weights {weights:?}, top {top_k}"
+            );
+            assert_eq!(
+                link_bits(&brute_links(&sharded_columns, &config, weights, top_k)),
+                expected,
+                "the shards hold the same columns"
+            );
+            assert_eq!(
+                link_bits(&served_links(sharded.execute(&query).unwrap())),
+                expected,
+                "3 shards, weights {weights:?}, top {top_k}"
+            );
+        }
+    }
+}
+
+/// A table that adds one PK-FK link: a copy of `Enzyme_Targets`, whose
+/// `Drug_Key` references `Drugs.Id`.
+fn extra_link_table(cmdl_lake: &cmdl::datalake::DataLake) -> Table {
+    let mut table = cmdl_lake.table("Enzyme_Targets").unwrap().clone();
+    table.name = "Enzyme_Targets_Copy".into();
+    table
+}
+
+fn mentions(links: &[PkFkLink], table: &str) -> bool {
+    let prefix = format!("{table}.");
+    links
+        .iter()
+        .any(|l| l.pk_name.starts_with(&prefix) || l.fk_name.starts_with(&prefix))
+}
+
+/// A pinned generation keeps its PK-FK answer across an ingest that adds a
+/// link and a removal that drops one, while each new generation answers
+/// from a link set of its own (a set shared across generations fails
+/// here), single and sharded.
+#[test]
+fn served_pkfk_link_sets_are_isolated_per_generation() {
+    let query = pkfk_query(None, ALL);
+    let config = CmdlConfig::fast();
+
+    let mut cmdl = Cmdl::build(pharma_lake(), config.clone());
+    let extra = extra_link_table(&cmdl.profiled.lake);
+    let pinned = cmdl.snapshot();
+    let pinned_answer = link_bits(&served_links(pinned.execute(&query).unwrap()));
+    let check_new = |snapshot: &cmdl::core::CatalogSnapshot, tag: &str| {
+        let links = served_links(snapshot.execute(&query).unwrap());
+        let columns = gathered_columns([&*snapshot.profiled]);
+        assert_eq!(
+            link_bits(&links),
+            link_bits(&brute_links(&columns, &config, None, ALL)),
+            "single catalog, {tag}"
+        );
+        links
+    };
+    cmdl.ingest_table(extra.clone()).unwrap();
+    let ingested = check_new(&cmdl.snapshot(), "after the ingest");
+    assert!(mentions(&ingested, &extra.name), "the ingest adds a link");
+    cmdl.remove_table("Enzyme_Targets").unwrap();
+    let removed = check_new(&cmdl.snapshot(), "after the removal");
+    assert!(
+        !mentions(&removed, "Enzyme_Targets"),
+        "the removal drops a link"
+    );
+    assert_eq!(
+        link_bits(&served_links(pinned.execute(&query).unwrap())),
+        pinned_answer,
+        "the pinned generation keeps its links"
+    );
+
+    let sharded = ShardedCmdl::build(pharma_lake(), sharded_config(3));
+    let pinned = sharded.snapshot();
+    let pinned_answer = link_bits(&served_links(pinned.execute(&query).unwrap()));
+    let check_new = |tag: &str| {
+        let snapshot = sharded.snapshot();
+        let links = served_links(snapshot.execute(&query).unwrap());
+        let columns = gathered_columns(snapshot.shards.iter().map(|s| &*s.profiled));
+        assert_eq!(
+            link_bits(&links),
+            link_bits(&brute_links(&columns, &config, None, ALL)),
+            "3 shards, {tag}"
+        );
+        links
+    };
+    sharded.ingest_table(extra.clone()).unwrap();
+    assert!(mentions(&check_new("after the ingest"), &extra.name));
+    sharded.remove_table("Enzyme_Targets").unwrap();
+    assert!(!mentions(&check_new("after the removal"), "Enzyme_Targets"));
+    assert_eq!(
+        link_bits(&served_links(pinned.execute(&query).unwrap())),
+        pinned_answer,
+        "the pinned sharded generation keeps its links"
+    );
+}
+
+/// `(signal, value bits, weight bits)` of a breakdown.
+fn breakdown_bits(breakdown: &ScoreBreakdown) -> Vec<(Signal, u64, u64)> {
+    breakdown
+        .signals
+        .iter()
+        .map(|c| (c.signal, c.value.to_bits(), c.weight.to_bits()))
+        .collect()
+}
+
+/// The breakdown a unionable hit shows for an anchor pair's signals: the
+/// ensemble `0.7 * max + 0.3 * avg` credits the first largest signal with
+/// `0.7 + 0.3 / 4` and every signal with `0.3 / 4`.
+fn expected_union_breakdown(signals: &UnionSignals) -> Vec<(Signal, u64, u64)> {
+    let values = [
+        (Signal::NameSimilarity, signals.name),
+        (Signal::Containment, signals.containment),
+        (Signal::NumericOverlap, signals.numeric),
+        (Signal::EmbeddingCosine, signals.semantic),
+    ];
+    let mut top = 0;
+    for (i, &(_, value)) in values.iter().enumerate() {
+        if value >= values[top].1 {
+            top = i;
+        }
+    }
+    values
+        .iter()
+        .enumerate()
+        .map(|(i, &(signal, value))| {
+            let weight: f64 = 0.3 / 4.0 + if i == top { 0.7 } else { 0.0 };
+            (signal, value.to_bits(), weight.to_bits())
+        })
+        .collect()
+}
+
+/// Every served unionable hit's breakdown holds the signals of its first
+/// `id_mapping` pair, bit for bit as `signals` computes them from the two
+/// profiles, single and sharded.
+#[test]
+fn served_union_breakdowns_are_the_anchor_pairs_signals() {
+    let cmdl = Cmdl::build(ukopen_lake(), CmdlConfig::fast());
+    let sharded = ShardedCmdl::build(ukopen_lake(), sharded_config(3));
+    let union = UnionDiscovery::new(&cmdl.profiled, &cmdl.indexes.columns);
+    let mut hits = 0;
+    for table in live_tables(&cmdl) {
+        let query = QueryBuilder::unionable(table.clone()).top_k(ALL).build();
+        for (tag, response) in [
+            ("single", cmdl.execute(&query).unwrap()),
+            ("3 shards", sharded.execute(&query).unwrap()),
+        ] {
+            for hit in &response.hits {
+                let answer = hit
+                    .union
+                    .as_ref()
+                    .expect("a unionable hit carries its answer");
+                let (q, c) = answer.id_mapping[0];
+                let signals = union.signals(
+                    cmdl.profiled.profile(q).unwrap(),
+                    cmdl.profiled.profile(c).unwrap(),
+                );
+                assert_eq!(
+                    breakdown_bits(&hit.breakdown),
+                    expected_union_breakdown(&signals),
+                    "{tag}: {table} -> {}",
+                    answer.table
+                );
+                hits += 1;
+            }
+        }
+    }
+    assert!(hits > 0);
+}
+
+/// `copies` copies of `table` named `{prefix}_{copies - 1}` down to
+/// `{prefix}_0`: slot order is the reverse of name order, so a table phase
+/// that settles equal scores by slot instead of name is caught.
+fn named_copies(table: &Table, prefix: &str, copies: usize) -> Vec<Table> {
+    (0..copies)
+        .rev()
+        .map(|i| {
+            let mut copy = table.clone();
+            copy.name = format!("{prefix}_{i:02}");
+            copy
+        })
+        .collect()
+}
+
+/// The bound-ordered table phase on a lake of exact ties: `k` copies of a
+/// one-column table (whose bound is exactly its score, so stopping at a
+/// bound *equal* to the `fetch`-th score drops tied tables that win on
+/// name) and `k` copies of a six-column table (whose bound sums round
+/// differently from the matching's, so a bound without its slack can fall
+/// below a tied score), queried by the originals and by probes that match
+/// the copies column by column with graded overlap. Indexed equals brute
+/// at every `top_k` in `1..=k` and beyond.
+#[test]
+fn unionable_is_exact_on_a_lake_of_tied_copies() {
+    const K: usize = 6;
+    let words =
+        |stem: &str, n: usize| -> Vec<String> { (0..n).map(|i| format!("{stem}{i}")).collect() };
+    let single = Table::new("single", vec![Column::from_texts("code", words("c", 8))]);
+    let wide = Table::new(
+        "wide",
+        vec![
+            Column::from_texts("region", words("r", 9)),
+            Column::from_numbers("amount", (0..9).map(|i| f64::from(i) * 1.5)),
+            Column::from_texts("Drug_Key", words("d", 9)),
+            Column::from_texts("status", words("s", 5)),
+            Column::from_numbers("year", (0..9).map(|i| 1990.0 + f64::from(i))),
+            Column::from_texts("label", words("l", 7)),
+        ],
+    );
+    // Probes: each column shares a different fraction of a wide column's
+    // values, listed in an order unlike the matching's weight order.
+    let probe = |name: &str, take: [usize; 4]| {
+        Table::new(
+            name,
+            vec![
+                Column::from_texts("labels", words("l", take[0])),
+                Column::from_texts("regions", words("r", take[1])),
+                Column::from_texts("key", words("d", take[2])),
+                Column::from_texts("state", words("s", take[3])),
+                Column::from_numbers("amounts", (0..4).map(|i| f64::from(i) * 2.0)),
+            ],
+        )
+    };
+    let single_probe = Table::new(
+        "single_probe",
+        vec![Column::from_texts("codes", words("c", 5))],
+    );
+    let mut tables = vec![single.clone(), wide.clone()];
+    tables.extend(named_copies(&single, "single_copy", K));
+    tables.extend(named_copies(&wide, "wide_copy", K));
+    tables.push(single_probe);
+    tables.push(probe("probe_a", [1, 3, 7, 2]));
+    tables.push(probe("probe_b", [6, 2, 4, 5]));
+    tables.push(probe("probe_c", [3, 8, 1, 4]));
+    let cmdl = Cmdl::build(common::lake_of("ties", &tables, &[]), CmdlConfig::fast());
+    let union = UnionDiscovery::new(&cmdl.profiled, &cmdl.indexes.columns);
+    for table in live_tables(&cmdl) {
+        for top_k in 1..=tables.len() {
+            assert_eq!(
+                union_bits(&union.unionable_tables_with(&table, top_k, "ensemble")),
+                union_bits(&union.unionable_tables_with_brute(&table, top_k, "ensemble")),
+                "unionable tables of {table}, top {top_k}"
+            );
+        }
+    }
+    let copies_of_single = union.unionable_tables_with_brute("single", K, "ensemble");
+    assert!(
+        copies_of_single
+            .iter()
+            .all(|u| u.table.starts_with("single_copy_"))
+            && copies_of_single
+                .windows(2)
+                .all(|w| w[0].score == w[1].score),
+        "the single-column copies tie"
+    );
 }
