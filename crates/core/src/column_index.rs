@@ -10,12 +10,17 @@
 //!   query's values, instead of two hash sets built per pair;
 //! * **interned names**: each distinct column name is prepared once
 //!   ([`NameFeatures`]) and a column carries its name id, so a name
-//!   comparison tokenizes nothing and a scorer can memoize one similarity
-//!   per distinct name;
+//!   comparison tokenizes nothing;
+//! * a **name-similarity row per interned name**, filled on first use:
+//!   row `q` holds `names[q].similarity(names[c])` for every name `c`
+//!   interned when it was filled, so the unionable pair loop reads its
+//!   name signal instead of computing it (see `ColumnIndex::name_row`);
 //! * the **solo content vector**, one row per slot in a contiguous
 //!   matrix, with its **self-dot** (the squared norm the cosine needs);
 //! * the **numeric profile** (the range the numeric-overlap signal reads);
-//! * the owning **table slot**, and a **live column count per table**.
+//! * the owning **table slot**, and per table the **slots of its live
+//!   columns**, so a query table's columns are read without a scan of the
+//!   lake.
 //!
 //! So the unionable pair loop reads only the index, never a profile.
 //!
@@ -23,7 +28,7 @@
 //! scan it replaces (the `*_brute` scorers in [`crate::join`] and
 //! [`crate::union`] keep that scan as the reference): containment is
 //! `overlap / |set|` over the same integers, and the prepared features
-//! feed the same arithmetic.
+//! and stored similarities feed the same arithmetic.
 //!
 //! Slots are positions in insertion order. [`build`](ColumnIndex::build)
 //! inserts the lake's columns in canonical order; ingestion appends;
@@ -32,10 +37,19 @@
 //! rebuilds, so a compacted index equals a batch-built one. The profiled
 //! lake appends and removes its `column_ids` the same way, so the live
 //! slots, in slot order, are the columns in `column_ids` order. Slots are
-//! local to one catalog: a shard looks values up by string, never by
-//! another shard's slot.
+//! local to one catalog: a shard looks values and names up by string,
+//! never by another shard's slot or name id.
+//!
+//! The name-similarity rows depend only on the names, which never change,
+//! so they outlive a generation: each row is shared through an `Arc`, and
+//! the copy of the index a writer makes while a snapshot is pinned shares
+//! every row, filled or not, with the index it copies. A rebuild
+//! (`build`, and so compaction and a segment load) re-interns the names
+//! and starts with empty rows.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use cmdl_datalake::{DeId, DeKind};
 use cmdl_nn::dot_f32;
@@ -69,9 +83,13 @@ pub(crate) struct ColumnEntry {
 #[derive(Debug, Clone)]
 struct TableEntry {
     name: String,
-    /// Live columns of the table.
-    columns: usize,
+    /// Slots of the table's live columns, ascending (so in `column_ids`
+    /// order).
+    columns: Vec<u32>,
 }
+
+/// One name's similarity row, shared by every copy of the index.
+type NameRow = Arc<OnceLock<Box<[f64]>>>;
 
 /// Value → column posting map, per-column features and interned names
 /// over the tabular columns of one catalog (see the module docs).
@@ -87,8 +105,8 @@ pub struct ColumnIndex {
     entries: Vec<Option<ColumnEntry>>,
     /// Live column id → slot.
     slots: HashMap<DeId, u32>,
-    /// Per table slot, its name and live column count. A table slot is
-    /// kept (with a zero count) after its last column leaves, so a name
+    /// Per table slot, its name and live column slots. A table slot is
+    /// kept (with no columns) after its last column leaves, so a name
     /// ingested again reuses it.
     tables: Vec<TableEntry>,
     /// Table name → table slot.
@@ -98,6 +116,13 @@ pub struct ColumnIndex {
     names: Vec<NameFeatures>,
     /// Column name → name id.
     name_ids: HashMap<String, u32>,
+    /// Per name id, its similarity row (see [`name_row`](Self::name_row)).
+    name_rows: Vec<NameRow>,
+    /// Names interned by the furthest copy of this index that shares its
+    /// rows. A copy interning a name where another copy already interned a
+    /// different one would give two names one id, so it takes fresh rows
+    /// first (see [`intern`](Self::intern)).
+    interned: Arc<AtomicU32>,
     /// Per slot, the solo content vector: row `slot` is
     /// `solo_rows[slot * solo_dim..][..solo_dim]`. A removed slot keeps its
     /// row until the index is rebuilt.
@@ -136,13 +161,14 @@ impl ColumnIndex {
                 let table = self.tables.len() as u32;
                 self.tables.push(TableEntry {
                     name: table_name.to_string(),
-                    columns: 0,
+                    columns: Vec::new(),
                 });
                 self.table_slots.insert(table_name.to_string(), table);
                 table
             }
         };
-        self.tables[table as usize].columns += 1;
+        // Slots only grow, so the table's list stays ascending.
+        self.tables[table as usize].columns.push(slot);
         if !profile.tags.numeric {
             for value in &profile.distinct_values {
                 // Slots only grow, so each posting list stays ascending.
@@ -152,12 +178,7 @@ impl ColumnIndex {
         }
         let name_id = match self.name_ids.get(profile.name.as_str()) {
             Some(&id) => id,
-            None => {
-                let id = self.names.len() as u32;
-                self.names.push(NameFeatures::new(&profile.name));
-                self.name_ids.insert(profile.name.clone(), id);
-                id
-            }
+            None => self.intern(&profile.name),
         };
         let solo = &profile.solo.content;
         if self.entries.is_empty() {
@@ -182,6 +203,31 @@ impl ColumnIndex {
         self.slots.insert(profile.id, slot);
     }
 
+    /// Give a new name the next name id, with an empty similarity row.
+    ///
+    /// The rows are shared with every copy of this index, and a filled row
+    /// holds one similarity per name id interned when it was filled, so
+    /// all copies must agree on what each id names. Along the writer's
+    /// line of copies they do: each copy extends the names of the one it
+    /// was made from. A copy that interns where another copy already went
+    /// further (two writers on copies of one index) takes fresh rows
+    /// instead of sharing.
+    fn intern(&mut self, name: &str) -> u32 {
+        let id = self.names.len() as u32;
+        let extended = self
+            .interned
+            .compare_exchange(id, id + 1, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok();
+        if !extended {
+            self.name_rows = self.names.iter().map(|_| NameRow::default()).collect();
+            self.interned = Arc::new(AtomicU32::new(id + 1));
+        }
+        self.names.push(NameFeatures::new(name));
+        self.name_ids.insert(name.to_string(), id);
+        self.name_rows.push(NameRow::default());
+        id
+    }
+
     /// Drop one column profile: its slot is cleared and removed from every
     /// posting list it was on (values left with no column are forgotten).
     pub(crate) fn remove(&mut self, profile: &DeProfile) {
@@ -191,7 +237,10 @@ impl ColumnIndex {
         let Some(entry) = self.entries[slot as usize].take() else {
             return;
         };
-        self.tables[entry.table as usize].columns -= 1;
+        let columns = &mut self.tables[entry.table as usize].columns;
+        if let Ok(at) = columns.binary_search(&slot) {
+            columns.remove(at);
+        }
         if entry.numeric {
             return;
         }
@@ -276,9 +325,23 @@ impl ColumnIndex {
         &self.tables[table as usize].name
     }
 
-    /// Live columns of a table slot.
-    pub(crate) fn table_columns(&self, table: u32) -> usize {
-        self.tables[table as usize].columns
+    /// The slots of a table's live columns, ascending.
+    pub(crate) fn table_columns(&self, table: u32) -> &[u32] {
+        &self.tables[table as usize].columns
+    }
+
+    /// The ids of a table's live columns, in `column_ids` order (the order
+    /// of [`ProfiledLake::columns_of_table`]); none for an unknown table.
+    pub fn columns_of_table(&self, table_name: &str) -> impl Iterator<Item = DeId> + '_ {
+        let slots = match self.table_slot(table_name) {
+            Some(table) => self.table_columns(table),
+            None => &[],
+        };
+        slots.iter().map(|&slot| {
+            self.entry(slot)
+                .expect("a table lists only its live slots")
+                .id
+        })
     }
 
     /// Table slots known so far (slots are below this).
@@ -294,6 +357,35 @@ impl ColumnIndex {
     /// The prepared name of a name id.
     pub(crate) fn name(&self, name_id: u32) -> &NameFeatures {
         &self.names[name_id as usize]
+    }
+
+    /// The id of an interned column name.
+    pub(crate) fn name_id(&self, name: &str) -> Option<u32> {
+        self.name_ids.get(name).copied()
+    }
+
+    /// The name-similarity row of a name id: entry `c` is
+    /// `name(name_id).similarity(name(c))` — query name first, as the
+    /// scorers call it — for every name `c` interned when the row was
+    /// filled, so a row filled before a name was interned ends before it.
+    /// Filled on first use; copies of the index share it. Memory is at
+    /// most `names² × 8` bytes.
+    pub(crate) fn name_row(&self, name_id: u32) -> &[f64] {
+        self.name_rows[name_id as usize].get_or_init(|| {
+            let query = self.name(name_id);
+            self.names
+                .iter()
+                .map(|name| query.similarity(name))
+                .collect()
+        })
+    }
+
+    /// Name-similarity rows filled so far.
+    pub(crate) fn num_name_rows(&self) -> usize {
+        self.name_rows
+            .iter()
+            .filter(|row| row.get().is_some())
+            .count()
     }
 
     /// A zeroed overlap counter sized for this index's slots.
@@ -407,11 +499,10 @@ mod tests {
             }
         }
         assert_eq!(index.num_postings(), expected_postings);
-        let drugs = index.table_slot("Drugs").unwrap();
-        assert_eq!(
-            index.table_columns(drugs),
-            profiled.columns_of_table("Drugs").len()
-        );
+        assert!(index
+            .columns_of_table("Drugs")
+            .eq(profiled.columns_of_table("Drugs")));
+        assert_eq!(index.columns_of_table("Nonexistent").count(), 0);
     }
 
     #[test]
@@ -423,7 +514,7 @@ mod tests {
             index.remove(profiled.profile(*id).unwrap());
         }
         let drugs = index.table_slot("Drugs").unwrap();
-        assert_eq!(index.table_columns(drugs), 0);
+        assert!(index.table_columns(drugs).is_empty());
         assert_eq!(index.len(), profiled.column_ids.len() - removed.len());
         let mut survivors = profiled.clone();
         survivors.column_ids.retain(|id| !removed.contains(id));
@@ -472,6 +563,78 @@ mod tests {
                 expected.to_bits()
             );
         }
+    }
+
+    /// The similarity row of every name, as the kernel computes it.
+    fn expected_row(index: &ColumnIndex, name_id: u32) -> Vec<u64> {
+        (0..index.num_names() as u32)
+            .map(|c| index.name(name_id).similarity(index.name(c)).to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn name_rows_are_shared_by_copies_until_a_rebuild() {
+        let profiled = pharma();
+        let index = ColumnIndex::build(&profiled);
+        let copy = index.clone();
+        assert_eq!(index.num_name_rows(), 0, "rows are filled on use");
+        let row = index.name_row(0);
+        assert_eq!(
+            row.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            expected_row(&index, 0)
+        );
+        assert_eq!(copy.num_name_rows(), 1, "a copy sees the original's row");
+        assert_eq!(copy.name_row(0).as_ptr(), row.as_ptr());
+        copy.name_row(1);
+        assert_eq!(index.num_name_rows(), 2, "and the original the copy's");
+
+        // A writer's copy that interns a new name keeps the filled rows;
+        // they end before the new name.
+        let mut written = copy.clone();
+        let mut profile = profiled.profile(profiled.column_ids[0]).unwrap().clone();
+        profile.id = DeId(u64::MAX);
+        profile.name = "a_name_never_seen".into();
+        written.insert(&profile);
+        assert_eq!(written.num_names(), index.num_names() + 1);
+        assert_eq!(written.num_name_rows(), 2);
+        assert_eq!(written.name_row(0).len(), index.num_names());
+        let new_id = written.name_id("a_name_never_seen").unwrap();
+        assert_eq!(
+            written
+                .name_row(new_id)
+                .iter()
+                .map(|s| s.to_bits())
+                .collect::<Vec<_>>(),
+            expected_row(&written, new_id)
+        );
+        assert_eq!(index.num_name_rows(), 2, "the new name has no row there");
+
+        // Another copy of the older index interning a different name at
+        // the same id takes fresh rows instead of the writer's.
+        let mut sibling = index.clone();
+        profile.name = "another_new_name".into();
+        sibling.insert(&profile);
+        assert_eq!(sibling.name_id("another_new_name"), Some(new_id));
+        assert_eq!(sibling.num_name_rows(), 0);
+        assert_eq!(
+            sibling
+                .name_row(0)
+                .iter()
+                .map(|s| s.to_bits())
+                .collect::<Vec<_>>(),
+            expected_row(&sibling, 0)
+        );
+        assert_eq!(written.num_name_rows(), 3, "the writer's rows are its own");
+
+        assert_eq!(ColumnIndex::build(&profiled).num_name_rows(), 0);
+        let mut catalog = crate::indexes::IndexCatalog::build(&profiled, &CmdlConfig::fast());
+        catalog.columns.name_row(0);
+        catalog.compact(&profiled, &CmdlConfig::fast());
+        assert_eq!(
+            catalog.columns.num_name_rows(),
+            0,
+            "compaction starts empty"
+        );
     }
 
     #[test]

@@ -217,9 +217,8 @@ impl<'a> JoinDiscovery<'a> {
     /// score over any column pair, aggregated per candidate table.
     pub fn joinable_tables(&self, table_name: &str, top_k: usize) -> Vec<(String, f64)> {
         let query_columns: Vec<&DeProfile> = self
-            .profiled
+            .columns
             .columns_of_table(table_name)
-            .into_iter()
             .filter_map(|id| self.profiled.profile(id))
             .collect();
         let best = self.joinable_table_candidates(&query_columns);

@@ -473,9 +473,9 @@ impl ShardedCmdl {
             .ok_or_else(|| CmdlError::UnknownTable(name.to_string()))?;
         let mut shard = self.lock_shard(owner);
         let removed_profiles: Vec<Arc<DeProfile>> = shard
-            .profiled
+            .indexes
+            .columns
             .columns_of_table(name)
-            .into_iter()
             .filter_map(|id| shard.profiled.profiles.get(&id).cloned())
             .collect();
         let removed = shard.remove_table(name)?;
@@ -699,6 +699,8 @@ impl ShardedSnapshot {
             total.index_sizes.joint_embeddings += stats.index_sizes.joint_embeddings;
             total.index_sizes.column_values += stats.index_sizes.column_values;
             total.index_sizes.column_postings += stats.index_sizes.column_postings;
+            total.index_sizes.column_names += stats.index_sizes.column_names;
+            total.index_sizes.name_similarity_rows += stats.index_sizes.name_similarity_rows;
             total.delta.content_tombstoned += stats.delta.content_tombstoned;
             total.delta.containment_delta += stats.delta.containment_delta;
             total.delta.solo_delta += stats.delta.solo_delta;
@@ -840,9 +842,9 @@ impl ShardedSnapshot {
             .table_owner_snapshot(table)
             .ok_or_else(|| CmdlError::UnknownTable(table.to_string()))?;
         let query_columns: Vec<&DeProfile> = owner
-            .profiled
+            .indexes
+            .columns
             .columns_of_table(table)
-            .into_iter()
             .filter_map(|id| owner.profiled.profile(id))
             .collect();
         let per_shard: Vec<HashMap<String, f64>> = self
@@ -937,9 +939,9 @@ impl ShardedSnapshot {
             .table_owner_snapshot(table)
             .ok_or_else(|| CmdlError::UnknownTable(table.to_string()))?;
         let query: Vec<(DeId, &DeProfile)> = owner
-            .profiled
+            .indexes
+            .columns
             .columns_of_table(table)
-            .into_iter()
             .filter_map(|id| owner.profiled.profile(id).map(|p| (id, p)))
             .collect();
         if query.is_empty() {

@@ -31,6 +31,12 @@ pub struct IndexSizes {
     pub column_values: usize,
     /// Entries over all of the column index's posting lists.
     pub column_postings: usize,
+    /// Distinct column names interned in the column index.
+    pub column_names: usize,
+    /// Name-similarity rows filled so far: each holds one `f64` per name
+    /// interned when it was filled, so together at most
+    /// `column_names² × 8` bytes.
+    pub name_similarity_rows: usize,
 }
 
 /// A consistent introspection summary of one catalog generation.
@@ -87,6 +93,8 @@ impl CatalogSnapshot {
                 joint_embeddings: self.indexes.joint_embeddings.len(),
                 column_values: self.indexes.columns.num_values(),
                 column_postings: self.indexes.columns.num_postings(),
+                column_names: self.indexes.columns.num_names(),
+                name_similarity_rows: self.indexes.columns.num_name_rows(),
             },
             delta: self.indexes.delta_stats(),
             delta_pressure: self.indexes.delta_pressure(),
@@ -108,6 +116,7 @@ impl Cmdl {
 mod tests {
     use super::*;
     use crate::config::CmdlConfig;
+    use crate::query::QueryBuilder;
     use cmdl_datalake::{synth, Column, Table};
 
     fn system() -> Cmdl {
@@ -158,6 +167,40 @@ mod tests {
         assert!(trained.joint_trained);
         assert!(trained.index_sizes.joint_embeddings > 0);
         assert!(trained.index_sizes.joint_ann > 0);
+    }
+
+    #[test]
+    fn a_unionable_query_fills_name_similarity_rows() {
+        let cmdl = system();
+        let before = cmdl.stats().index_sizes;
+        assert_eq!(before.name_similarity_rows, 0, "rows are filled on use");
+        assert_eq!(before.column_names, cmdl.indexes.columns.num_names());
+        cmdl.execute(&QueryBuilder::unionable("Drugs").top_k(5).build())
+            .unwrap();
+        let drugs_names: std::collections::HashSet<&str> = cmdl
+            .profiled
+            .columns_of_table("Drugs")
+            .into_iter()
+            .map(|id| cmdl.profiled.profile(id).unwrap().name.as_str())
+            .collect();
+        let after = cmdl.stats().index_sizes;
+        assert_eq!(after.name_similarity_rows, drugs_names.len());
+        assert_eq!(after.column_names, before.column_names);
+
+        let sharded = crate::shard::ShardedCmdl::build(
+            synth::pharma::generate(&synth::PharmaConfig::tiny()).lake,
+            CmdlConfig {
+                shards: 3,
+                ..CmdlConfig::fast()
+            },
+        );
+        let before = sharded.stats().index_sizes;
+        sharded
+            .execute(&QueryBuilder::unionable("Drugs").top_k(5).build())
+            .unwrap();
+        let after = sharded.stats().index_sizes;
+        assert!(after.name_similarity_rows > before.name_similarity_rows);
+        assert!(after.column_names >= cmdl.stats().index_sizes.column_names);
     }
 
     #[test]

@@ -14,11 +14,17 @@
 //! name or embedding evidence alone, so no value index can prune it — but
 //! each pair is cheap, and the pair loop of
 //! [`UnionDiscovery::unionable_candidates`] reads only the [`ColumnIndex`]:
-//! one posting walk per query column gives every pair's value overlap, a
-//! per-query-column memo over the index's interned names computes one
-//! name similarity per distinct candidate name, and each candidate's solo
-//! vector, self-dot and numeric profile sit in its index slot. The measure
-//! is resolved once per query.
+//! one posting walk per query column gives every pair's value overlap, and
+//! each candidate's solo vector, self-dot and numeric profile sit in its
+//! index slot. The name signal is read, not computed: a query column whose
+//! name is interned in the index (looked up by string, so a foreign query
+//! column on a shard finds it too) seeds a per-query-column memo over the
+//! interned names from the index's similarity row for that name, which
+//! the first query to need it fills and every later query and generation
+//! reuses. Names the row does not cover — interned after it was filled,
+//! or a query name unknown to this catalog — are computed once per query
+//! column into the same memo. The measure is resolved once per query, and
+//! the query table's columns come from the index's per-table slot list.
 //!
 //! Only the tables that can reach the answer are matched. Each table gets
 //! an upper bound on its score from its pairs above the floor (see
@@ -145,8 +151,42 @@ type CandidateScorer<'a> =
 struct QueryColumn<'q> {
     id: DeId,
     profile: &'q DeProfile,
-    name: NameFeatures,
+    name: QueryName<'q>,
     solo_self_dot: f32,
+}
+
+/// A query column's name as the candidate catalog knows it.
+enum QueryName<'q> {
+    /// Interned in the index: its id and similarity row.
+    Interned(u32, &'q [f64]),
+    /// Not interned here (a foreign column's name), prepared per query.
+    Foreign(NameFeatures),
+}
+
+impl QueryColumn<'_> {
+    /// The name similarity of this query column to an interned name, from
+    /// the row where it covers the name, else computed.
+    fn name_similarity(&self, columns: &ColumnIndex, name_id: u32) -> f64 {
+        match &self.name {
+            QueryName::Interned(query, row) => match row.get(name_id as usize) {
+                Some(&similarity) => similarity,
+                None => columns.name(*query).similarity(columns.name(name_id)),
+            },
+            QueryName::Foreign(name) => name.similarity(columns.name(name_id)),
+        }
+    }
+
+    /// Reset `memo` (one entry per interned name, NaN: not known yet) for
+    /// this query column: the row's similarities, NaN past its end.
+    fn seed_name_memo(&self, memo: &mut [f64]) {
+        let row: &[f64] = match &self.name {
+            QueryName::Interned(_, row) => row,
+            QueryName::Foreign(_) => &[],
+        };
+        let seeded = row.len().min(memo.len());
+        memo[..seeded].copy_from_slice(&row[..seeded]);
+        memo[seeded..].fill(f64::NAN);
+    }
 }
 
 /// Unionability discovery over a profiled lake and its column index (the
@@ -236,9 +276,8 @@ impl<'a> UnionDiscovery<'a> {
         candidates: CandidateScorer<'a>,
     ) -> Vec<UnionCandidate> {
         let query: Vec<(DeId, &DeProfile)> = self
-            .profiled
+            .columns
             .columns_of_table(table_name)
-            .into_iter()
             .filter_map(|id| self.profiled.profile(id).map(|p| (id, p)))
             .collect();
         if query.is_empty() {
@@ -282,7 +321,10 @@ impl<'a> UnionDiscovery<'a> {
             .map(|&(id, profile)| QueryColumn {
                 id,
                 profile,
-                name: NameFeatures::new(&profile.name),
+                name: match columns.name_id(&profile.name) {
+                    Some(name_id) => QueryName::Interned(name_id, columns.name_row(name_id)),
+                    None => QueryName::Foreign(NameFeatures::new(&profile.name)),
+                },
                 solo_self_dot: dot_f32(&profile.solo.content, &profile.solo.content),
             })
             .collect();
@@ -290,7 +332,7 @@ impl<'a> UnionDiscovery<'a> {
         // Pair scores, one row of candidates per query column, with each
         // pair's value overlap (for the kept tables' anchors). Columns
         // share names, so each row memoizes one name similarity per name
-        // id (NaN: not computed yet).
+        // id, seeded from the query name's similarity row.
         let width = candidates.len();
         let mut scores = Vec::with_capacity(rows.len() * width);
         let mut shared = Vec::with_capacity(rows.len() * width);
@@ -300,11 +342,11 @@ impl<'a> UnionDiscovery<'a> {
             if !row.profile.tags.numeric {
                 columns.count_overlaps(&row.profile.distinct_values, &mut overlap);
             }
-            name_memo.fill(f64::NAN);
+            row.seed_name_memo(&mut name_memo);
             for &(slot, entry) in &candidates {
                 let name = &mut name_memo[entry.name_id as usize];
                 if name.is_nan() {
-                    *name = row.name.similarity(columns.name(entry.name_id));
+                    *name = row.name_similarity(columns, entry.name_id);
                 }
                 let count = overlap.get(slot);
                 scores.push(measure.score(&self.pair_signals(row, slot, entry, count, *name)));
@@ -381,7 +423,11 @@ impl<'a> UnionDiscovery<'a> {
             }
             let from = matched.len();
             greedy_matching(&mut pairs, &mut matched);
-            let score = table_score(&matched[from..], rows.len(), columns.table_columns(table));
+            let score = table_score(
+                &matched[from..],
+                rows.len(),
+                columns.table_columns(table).len(),
+            );
             let at = ranked.partition_point(|&(s, t, _)| {
                 union_order(table_order((s, t)), table_order((score, table))).is_lt()
             });
@@ -398,7 +444,7 @@ impl<'a> UnionDiscovery<'a> {
                 let mapping = &matched[range];
                 let (r, c, _) = mapping[0];
                 let (row, (slot, entry)) = (&rows[r as usize], candidates[c as usize]);
-                let name = row.name.similarity(columns.name(entry.name_id));
+                let name = row.name_similarity(columns, entry.name_id);
                 let count = shared[r as usize * width + c as usize];
                 let ids: Vec<(DeId, DeId, f64)> = mapping
                     .iter()

@@ -447,7 +447,7 @@ impl DataLake {
         self.tables
             .iter()
             .enumerate()
-            .find(|(i, t)| !self.removed_tables.contains(i) && t.name == name)
+            .find(|(i, t)| t.name == name && !self.removed_tables.contains(i))
             .map(|(i, _)| i)
     }
 

@@ -133,6 +133,18 @@ fn live_tables(cmdl: &Cmdl) -> Vec<String> {
     names
 }
 
+/// The column index lists a table's live columns (none for a removed or
+/// unknown table) in `column_ids` order.
+fn assert_column_list(tag: &str, cmdl: &Cmdl, table: &str) {
+    assert!(
+        cmdl.indexes
+            .columns
+            .columns_of_table(table)
+            .eq(cmdl.profiled.columns_of_table(table)),
+        "{tag}: the column index's columns of {table}"
+    );
+}
+
 /// Compare every indexed structured scorer with its brute-force reference
 /// on the catalog's current generation.
 fn assert_structured_parity(tag: &str, cmdl: &Cmdl) {
@@ -142,6 +154,9 @@ fn assert_structured_parity(tag: &str, cmdl: &Cmdl) {
         columns.column_ids().eq(profiled.column_ids.iter().copied()),
         "{tag}: the column index's live slots are the live columns in `column_ids` order"
     );
+    for table in live_tables(cmdl) {
+        assert_column_list(tag, cmdl, &table);
+    }
     let join = JoinDiscovery::new(profiled, columns, &cmdl.config);
     let union = UnionDiscovery::new(profiled, columns);
 
@@ -327,7 +342,9 @@ proptest! {
 
     /// Any interleaving of table ingestion, removal (including of a name
     /// that is later ingested again) and compaction keeps the indexed
-    /// scorers bit-identical to the brute-force scans after every step.
+    /// scorers bit-identical to the brute-force scans, and the index's
+    /// column list of every table (live or not) equal to the lake's, after
+    /// every step.
     #[test]
     fn parity_holds_under_random_ingest_remove_compact(
         specs in prop::collection::vec(prop::collection::vec(0u32..10_000, 2..5), 3..7),
@@ -338,9 +355,14 @@ proptest! {
             .enumerate()
             .map(|(ti, spec)| mini_table(format!("t{ti}"), spec))
             .collect();
+        // No automatic compaction (delta pressure never exceeds 1), so
+        // removals stay in the index's delta state until a `compact` step.
         let mut cmdl = Cmdl::build(
             common::lake_of("mini", &tables[..2], &[]),
-            CmdlConfig::fast(),
+            CmdlConfig {
+                compaction_ratio: 1.0,
+                ..CmdlConfig::fast()
+            },
         );
         let mut live: Vec<usize> = vec![0, 1];
         for (step, &op) in ops.iter().enumerate() {
@@ -362,7 +384,11 @@ proptest! {
                 }
                 _ => cmdl.compact(),
             }
-            assert_structured_parity(&format!("step {step} (op {op})"), &cmdl);
+            let tag = format!("step {step} (op {op})");
+            for table in &tables {
+                assert_column_list(&tag, &cmdl, &table.name);
+            }
+            assert_structured_parity(&tag, &cmdl);
         }
     }
 }
@@ -716,5 +742,125 @@ fn unionable_is_exact_on_a_lake_of_tied_copies() {
                 .windows(2)
                 .all(|w| w[0].score == w[1].score),
         "the single-column copies tie"
+    );
+}
+
+/// The table answers of a served unionable response.
+fn served_unions(response: QueryResponse) -> Vec<UnionScore> {
+    response
+        .hits
+        .into_iter()
+        .map(|hit| hit.union.expect("a unionable hit carries its answer"))
+        .collect()
+}
+
+/// A copy of `Drugs` named `name` whose drug-name column is renamed to a
+/// name no other column has.
+fn renamed_drugs(lake: &DataLake, name: &str, column: &str) -> Table {
+    let mut table = lake.table("Drugs").unwrap().clone();
+    table.name = name.into();
+    table.columns[1].name = column.into();
+    table
+}
+
+/// The index's name-similarity rows outlive the generation that filled
+/// them, and a row ends before the names interned after it was filled: a
+/// pinned snapshot fills a row for every table's names, an ingest interns
+/// a new name, and every table's unionable answer on the new generation —
+/// the new table's included — still equals the brute scan.
+#[test]
+fn name_rows_filled_before_an_ingest_serve_the_new_generation() {
+    let mut cmdl = Cmdl::build(pharma_lake(), CmdlConfig::fast());
+    let pinned = cmdl.snapshot();
+    for table in live_tables(&cmdl) {
+        pinned
+            .execute(&QueryBuilder::unionable(table).top_k(ALL).build())
+            .unwrap();
+    }
+    let filled = pinned.stats().index_sizes.name_similarity_rows;
+    assert_eq!(filled, pinned.stats().index_sizes.column_names);
+
+    let formulary = renamed_drugs(&cmdl.profiled.lake, "Formulary", "Drug_Label_Text");
+    cmdl.ingest_table(formulary).unwrap();
+    let sizes = cmdl.stats().index_sizes;
+    assert_eq!(sizes.column_names, filled + 1, "one name is new");
+    assert_eq!(
+        sizes.name_similarity_rows, filled,
+        "the filled rows are kept"
+    );
+
+    let union = UnionDiscovery::new(&cmdl.profiled, &cmdl.indexes.columns);
+    let mut saw_new_column = false;
+    for table in live_tables(&cmdl) {
+        let served = served_unions(
+            cmdl.execute(&QueryBuilder::unionable(table.clone()).top_k(ALL).build())
+                .unwrap(),
+        );
+        saw_new_column |= served
+            .iter()
+            .any(|u| u.mapping.iter().any(|(_, c, _)| c == "Drug_Label_Text"));
+        assert_eq!(
+            union_bits(&served),
+            union_bits(&union.unionable_tables_with_brute(&table, ALL, "ensemble")),
+            "unionable tables of {table} after the ingest"
+        );
+    }
+    assert!(saw_new_column, "an older row's query matches the new name");
+}
+
+/// A sharded query table whose column name no other shard interns: each
+/// shard prepares the foreign name itself, and the merged answer equals
+/// the single catalog's brute scan.
+#[test]
+fn sharded_unionable_with_a_name_known_to_one_shard_matches_brute() {
+    const UNIQUE: &str = "Zygomorphic_Label";
+    let mut lake = pharma_lake();
+    let oddities = renamed_drugs(&lake, "Oddities", UNIQUE);
+    lake.add_table(oddities);
+    let single = Cmdl::build(lake.clone(), CmdlConfig::fast());
+    let union = UnionDiscovery::new(&single.profiled, &single.indexes.columns);
+    let sharded = ShardedCmdl::build(lake, sharded_config(3));
+    let snapshot = sharded.snapshot();
+    let owner = snapshot
+        .shards
+        .iter()
+        .position(|s| s.profiled.lake.table("Oddities").is_some())
+        .unwrap();
+    let has_name = |profiled: &cmdl::core::ProfiledLake| {
+        profiled
+            .column_ids
+            .iter()
+            .any(|&id| profiled.profile(id).unwrap().name == UNIQUE)
+    };
+    for (i, shard) in snapshot.shards.iter().enumerate() {
+        assert_eq!(has_name(&shard.profiled), i == owner);
+    }
+    let mut foreign_matches = 0;
+    for top_k in [1, 3, ALL] {
+        let served = served_unions(
+            snapshot
+                .execute(&QueryBuilder::unionable("Oddities").top_k(top_k).build())
+                .unwrap(),
+        );
+        foreign_matches += served
+            .iter()
+            .filter(|u| {
+                snapshot.shards[owner]
+                    .profiled
+                    .lake
+                    .table(&u.table)
+                    .is_none()
+                    && u.mapping.iter().any(|(q, _, _)| q == UNIQUE)
+            })
+            .count();
+        assert_eq!(
+            union_bits(&served),
+            union_bits(&union.unionable_tables_with_brute("Oddities", top_k, "ensemble")),
+            "3 shards, unionable tables of Oddities, top {top_k}"
+        );
+    }
+    assert!(
+        foreign_matches > 0,
+        "another shard aligns the uniquely named column"
     );
 }
